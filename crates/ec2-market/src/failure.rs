@@ -324,23 +324,7 @@ impl FailureEstimator {
         if n == 0 {
             return 0.0;
         }
-        // Walk backwards over the circular history, carrying the distance
-        // to the next admissible sample — O(n) total.
-        let mut dist = vec![u32::MAX; n];
-        // Two passes over the circle to resolve wrap-around.
-        let mut next: Option<usize> = None;
-        for pass in 0..2 {
-            for i in (0..n).rev() {
-                if self.prices[i] <= bid {
-                    next = Some(i);
-                }
-                if let Some(j) = next {
-                    let d = if j >= i { j - i } else { j + n - i };
-                    dist[i] = dist[i].min(d as u32);
-                }
-            }
-            let _ = pass;
-        }
+        let dist = circular_distance_to_next(&self.prices, |p| p <= bid);
         if dist.contains(&u32::MAX) {
             return self.step_hours * n as f64;
         }
@@ -414,25 +398,12 @@ impl FailureEstimator {
         let samples_per_hour = (1.0 / self.step_hours).round().max(1.0) as usize;
         let horizon_samples = horizon_hours * samples_per_hour;
 
-        // Distance (in samples) from each index to the first sample at or
-        // after it (circularly) whose price strictly exceeds the bid;
-        // `u32::MAX` when the bid is never exceeded. Same two-pass backward
-        // carry as `expected_launch_delay`, so the whole precompute is O(n)
-        // — it replaces an O(horizon) probe loop *per start point*, which
-        // made `failure_rate_exact` O(n · horizon).
-        let mut dist = vec![u32::MAX; n];
-        let mut next: Option<usize> = None;
-        for _pass in 0..2 {
-            for i in (0..n).rev() {
-                if self.prices[i] > bid {
-                    next = Some(i);
-                }
-                if let Some(j) = next {
-                    let d = if j >= i { j - i } else { j + n - i };
-                    dist[i] = dist[i].min(d as u32);
-                }
-            }
-        }
+        // Distance (in samples) from each index to the first out-of-bid
+        // sample at or after it; `u32::MAX` when the bid is never
+        // exceeded. The O(n) precompute replaces an O(horizon) probe loop
+        // *per start point*, which made `failure_rate_exact`
+        // O(n · horizon).
+        let dist = circular_distance_to_next(&self.prices, |p| p > bid);
 
         let mut buckets = vec![0u64; horizon_hours];
         let mut survived = 0u64;
@@ -522,6 +493,28 @@ impl FailureEstimator {
             .collect();
         FailureRateFn::new(bid, buckets, survived as f64 / used as f64)
     }
+}
+
+/// For each sample `i` of a circular history, the distance in samples to
+/// the first sample at or after `i` (wrapping past the end) that satisfies
+/// `matches`; `u32::MAX` when no sample does. One backward walk carries
+/// the nearest match; a second walk resolves the wrap-around — O(n).
+fn circular_distance_to_next(prices: &[Usd], matches: impl Fn(Usd) -> bool) -> Vec<u32> {
+    let n = prices.len();
+    let mut dist = vec![u32::MAX; n];
+    let mut next: Option<usize> = None;
+    for _pass in 0..2 {
+        for i in (0..n).rev() {
+            if matches(prices[i]) {
+                next = Some(i);
+            }
+            if let Some(j) = next {
+                let d = if j >= i { j - i } else { j + n - i };
+                dist[i] = dist[i].min(d as u32);
+            }
+        }
+    }
+    dist
 }
 
 #[cfg(test)]
@@ -704,6 +697,36 @@ mod tests {
             });
             assert_eq!(fast, slow);
         }
+    }
+
+    #[test]
+    fn circular_distance_matches_a_forward_probe() {
+        // Both predicates the estimator uses — admissible (`<= bid`) and
+        // out-of-bid (`> bid`) — against a naive walk from every index.
+        let prices = [0.3, 0.1, 0.5, 0.5, 0.2, 0.9, 0.1];
+        for bid in [0.0, 0.1, 0.25, 0.5, 1.0] {
+            let admissible = |p: Usd| p <= bid;
+            let out_of_bid = |p: Usd| p > bid;
+            for (pred, name) in [
+                (&admissible as &dyn Fn(Usd) -> bool, "<="),
+                (&out_of_bid, ">"),
+            ] {
+                let n = prices.len();
+                let probe: Vec<u32> = (0..n)
+                    .map(|i| {
+                        (0..n)
+                            .find(|&d| pred(prices[(i + d) % n]))
+                            .map_or(u32::MAX, |d| d as u32)
+                    })
+                    .collect();
+                assert_eq!(
+                    circular_distance_to_next(&prices, pred),
+                    probe,
+                    "bid {bid} {name}"
+                );
+            }
+        }
+        assert!(circular_distance_to_next(&[], |_| true).is_empty());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Windowed Algorithm-1 execution against realized traces.
 //!
 //! [`AdaptiveRunner`] drives the paper's adaptive loop: at every window
-//! boundary it rebuilds the market view from the most recent
-//! `history_hours` of prices *ending at the current trace time*, asks
-//! [`AdaptivePlanner`] for the residual plan, and replays at most `T_m`
-//! hours of it. Durable progress (the best checkpoint across circle
+//! boundary that re-plans it rebuilds the market view from the most
+//! recent `history_hours` of prices *ending at the current trace time*,
+//! asks [`AdaptivePlanner`] for the residual plan, and replays at most
+//! `T_m` hours of it. A window that keeps the current plan builds no
+//! view. Durable progress (the best checkpoint across circle
 //! groups, stored on S3) carries across windows. Setting
 //! `update_maintenance = false` reproduces the w/o-MT ablation: the plan
 //! computed in the first window is reused verbatim forever.
@@ -203,8 +204,10 @@ impl<'a> AdaptiveRunner<'a> {
             // stale. Re-plan against the last valid view instead of the
             // gapped one; on the very first window there is nothing older
             // to fall back to and the gapped view is used best-effort.
+            // Only the coordinates are chosen here: the view itself is
+            // built below, and only if this window re-plans.
             let gap = ctx.faults.is_some_and(|f| f.feed_gap_at(windows));
-            let (vh, vl) = if gap {
+            let view_coords = if gap {
                 emit(recorder, TraceLevel::Summary, || Event::FaultInjected {
                     class: "feed-gap".to_string(),
                     group: None,
@@ -226,7 +229,6 @@ impl<'a> AdaptiveRunner<'a> {
                 last_view = Some(fresh);
                 fresh
             };
-            let view = MarketView::from_market(self.market, vh, vl);
 
             // Deadline guard (Algorithm 1 line 7, applied on every path
             // including the frozen w/o-MT one — it is deadline
@@ -302,6 +304,8 @@ impl<'a> AdaptiveRunner<'a> {
                 });
                 d
             } else {
+                let (vh, vl) = view_coords;
+                let view = MarketView::from_market(self.market, vh, vl);
                 let planned = {
                     let mut pctx = PlanContext::new()
                         .with_recorder(recorder)
