@@ -8,8 +8,9 @@
 //! shared [`ec2_market::DeathTimeCache`] (built on first touch, reused by
 //! every later replica, worker thread, and tournament cell on the same
 //! market), and the per-group [`ec2_market::fault::group_key`] hash is
-//! computed once instead of once per fault draw. Replicas then resolve
-//! launch and death times with O(1) array reads.
+//! computed once instead of once per fault draw. Each entry also holds
+//! its group's trace, so a replica resolves launch and death times with
+//! O(1) array reads and bills against the trace without a market lookup.
 //!
 //! The tables answer with the **same bits** as the scalar
 //! [`ec2_market::TraceQuery`] path — the batched executor is an
@@ -20,14 +21,15 @@ use crate::Usd;
 use ec2_market::death::DeathTimeTable;
 use ec2_market::fault::group_key;
 use ec2_market::market::{CircleGroupId, SpotMarket};
+use ec2_market::trace::SpotTrace;
 use sompi_core::error::SompiError;
 use sompi_core::model::Plan;
 use std::sync::Arc;
 
-/// One plan group's precomputed replay state: its memoized death-time
-/// table and its cached fault-draw key.
+/// One plan group's precomputed replay state: its trace, its memoized
+/// death-time table and its cached fault-draw key.
 #[derive(Debug, Clone)]
-pub struct BatchEntry {
+pub struct BatchEntry<'m> {
     /// The plan group this entry serves.
     pub group: CircleGroupId,
     /// The bid the table was built for.
@@ -37,35 +39,37 @@ pub struct BatchEntry {
     pub gkey: u64,
     /// Shared read-only death/launch table for (group, bid).
     pub table: Arc<DeathTimeTable>,
+    /// The group's trace in the market the table was built from.
+    pub trace: &'m SpotTrace,
 }
 
 /// Batch state for one plan against one market: entries index-aligned
 /// with `plan.groups`, plus build/reuse counters for the
 /// `ReplayBatched` trace event.
 #[derive(Debug, Clone)]
-pub struct BatchTables {
+pub struct BatchTables<'m> {
     /// `entries[i]` serves `plan.groups[i]`; `None` when the group's
     /// trace is too long for the table's `u32` indexes (the executor
     /// falls back to scalar queries for that group).
-    entries: Vec<Option<BatchEntry>>,
+    entries: Vec<Option<BatchEntry<'m>>>,
     /// Tables built fresh for this plan.
     pub tables_built: u32,
     /// Tables served from the market's shared cache.
     pub tables_reused: u32,
 }
 
-impl BatchTables {
+impl<'m> BatchTables<'m> {
     /// Fetch (or build) the death-time table for every group in `plan`.
     ///
     /// Errors with [`SompiError::UnknownGroup`] for a plan group the
     /// market has no trace for — the same error, at the same point in
     /// the call sequence, as the scalar executor's per-group query.
-    pub fn for_plan(market: &SpotMarket, plan: &Plan) -> Result<Self, SompiError> {
+    pub fn for_plan(market: &'m SpotMarket, plan: &Plan) -> Result<Self, SompiError> {
         let mut entries = Vec::with_capacity(plan.groups.len());
         let mut tables_built = 0u32;
         let mut tables_reused = 0u32;
         for (group, decision) in &plan.groups {
-            market
+            let trace = market
                 .trace(group.id)
                 .ok_or_else(|| SompiError::UnknownGroup {
                     group: group.id.to_string(),
@@ -82,6 +86,7 @@ impl BatchTables {
                         bid: decision.bid,
                         gkey: group_key(group.id),
                         table,
+                        trace,
                     }));
                 }
                 None => entries.push(None),
@@ -98,7 +103,7 @@ impl BatchTables {
     /// bid the caller is replaying (defensive: a context paired with the
     /// wrong plan degrades to the scalar path instead of answering for
     /// the wrong trace).
-    pub fn entry(&self, i: usize, group: CircleGroupId, bid: Usd) -> Option<&BatchEntry> {
+    pub fn entry(&self, i: usize, group: CircleGroupId, bid: Usd) -> Option<&BatchEntry<'m>> {
         self.entries
             .get(i)?
             .as_ref()

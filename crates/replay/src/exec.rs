@@ -40,11 +40,13 @@
 //!   checkpoint reads corrupt and recovery falls back one checkpoint
 //!   interval (`WindowOutcome::ckpt_step_fraction`).
 
-use crate::batch::BatchTables;
+use crate::batch::{BatchEntry, BatchTables};
 use crate::{Hours, Usd};
 use ec2_market::billing::{BillingModel, Termination};
 use ec2_market::fault::{FaultInjector, RetryPolicy};
 use ec2_market::market::{CircleGroupId, SpotMarket};
+use ec2_market::trace::SpotTrace;
+use ec2_market::TraceQuery;
 use serde::{Deserialize, Serialize};
 use sompi_core::error::SompiError;
 use sompi_core::model::{CircleGroup, GroupDecision, Plan};
@@ -85,10 +87,10 @@ pub struct ExecContext<'a> {
     /// consults this (to decide whether to warm [`BatchTables`]); the
     /// executors themselves key off `batch` being present.
     pub mode: ExecMode,
-    /// Precomputed death-time tables for the plan being replayed. `None`
-    /// replays through scalar trace queries; the answers are bit-identical
-    /// either way.
-    pub batch: Option<&'a BatchTables>,
+    /// Precomputed death-time tables for the plan being replayed, built
+    /// from the runner's market. `None` replays through scalar trace
+    /// queries; the answers are bit-identical either way.
+    pub batch: Option<&'a BatchTables<'a>>,
 }
 
 impl Default for ExecContext<'_> {
@@ -135,7 +137,7 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Replay against precomputed batch tables.
-    pub fn with_batch(mut self, batch: &'a BatchTables) -> Self {
+    pub fn with_batch(mut self, batch: &'a BatchTables<'a>) -> Self {
         self.batch = Some(batch);
         self
     }
@@ -210,6 +212,56 @@ struct GroupRun {
     /// Buffered fault events `(at_hours, event)`, settled in phase 2
     /// (only events at or before the group's charge end are real).
     events: Vec<(Hours, Event)>,
+}
+
+/// Plans with at most this many groups keep their per-group lifecycles on
+/// the stack, so a fault-free replica allocates nothing. This covers the
+/// paper's replication degrees (κ = 4 by default, swept up to 6); plans
+/// with more groups spill to the heap.
+const INLINE_GROUPS: usize = 8;
+
+/// Where a group's launch and death crossings come from.
+enum Crossings<'t> {
+    /// The group's batch entry: its trace and O(1) death-time table reads.
+    Table(&'t BatchEntry<'t>),
+    /// Trace queries at the group's bid: the index descent when indexing
+    /// is enabled, the boundary scan otherwise. Both answer with the
+    /// table's bits.
+    Query(TraceQuery<'t>, Usd),
+}
+
+impl<'t> Crossings<'t> {
+    fn trace(&self) -> &'t SpotTrace {
+        match self {
+            Crossings::Table(e) => e.trace,
+            Crossings::Query(q, _) => q.trace(),
+        }
+    }
+
+    /// First instant at or after `start` (and before `cutoff`) the bid
+    /// covers the price.
+    fn launch_time(&self, start: Hours, cutoff: Hours) -> Option<Hours> {
+        match self {
+            Crossings::Table(e) => e.table.launch_time(start, cutoff),
+            Crossings::Query(q, bid) => q.launch_time(start, *bid, cutoff),
+        }
+    }
+
+    /// First passage of the price above the bid at or after `t`.
+    fn first_passage_above(&self, t: Hours) -> Option<Hours> {
+        match self {
+            Crossings::Table(e) => e.table.first_passage_above(t),
+            Crossings::Query(q, bid) => q.first_passage_above(t, *bid),
+        }
+    }
+
+    /// The cached fault-draw key, when a batch entry holds one.
+    fn gkey(&self) -> Option<u64> {
+        match self {
+            Crossings::Table(e) => Some(e.gkey),
+            Crossings::Query(..) => None,
+        }
+    }
 }
 
 /// Replays static plans against a market's realized traces.
@@ -393,36 +445,46 @@ impl<'a> PlanRunner<'a> {
         }
         let cutoff = window.map(|w| start + w).unwrap_or(f64::INFINITY);
 
-        // Phase 1: per-group lifecycle ignoring the winner rule.
-        let mut runs: Vec<GroupRun> = Vec::with_capacity(plan.groups.len());
-        for (i, (group, decision)) in plan.groups.iter().enumerate() {
-            let query = self
-                .market
-                .query(group.id)
-                .ok_or_else(|| SompiError::UnknownGroup {
-                    group: group.id.to_string(),
-                })?;
-            let trace = query.trace();
-            // Batched replay: the shared death-time table for this
-            // (group, bid), when the context carries one. Every lookup
-            // below is bit-identical to the scalar query — the table is
-            // the same arithmetic with the trace scan hoisted out.
-            let entry = ctx.batch.and_then(|b| b.entry(i, group.id, decision.bid));
+        // Phase 1: per-group lifecycle ignoring the winner rule, with the
+        // trace the group is billed against. Every slot is filled unless
+        // the window errors out.
+        let mut inline: [Option<(GroupRun, &SpotTrace)>; INLINE_GROUPS] = Default::default();
+        let mut spilled = Vec::new();
+        let runs = match plan.groups.len() {
+            n if n <= INLINE_GROUPS => &mut inline[..n],
+            n => {
+                spilled.resize_with(n, || None);
+                &mut spilled[..]
+            }
+        };
+        for (i, ((group, decision), slot)) in plan.groups.iter().zip(runs.iter_mut()).enumerate() {
+            // Batched replay: the group's batch entry, when the context
+            // carries one, holds its trace and the shared death-time table
+            // for this (group, bid), so no market lookup is needed. Every
+            // table read is bit-identical to the scalar query — the table
+            // is the same arithmetic with the trace scan hoisted out.
+            let crossings = match ctx.batch.and_then(|b| b.entry(i, group.id, decision.bid)) {
+                Some(entry) => Crossings::Table(entry),
+                None => Crossings::Query(
+                    self.market
+                        .query(group.id)
+                        .ok_or_else(|| SompiError::UnknownGroup {
+                            group: group.id.to_string(),
+                        })?,
+                    decision.bid,
+                ),
+            };
+            let trace = crossings.trace();
 
             // Launch: wait until the price is at or below the bid —
-            // unless the group was carried over already running. The query
-            // walks the trace index (O(log n)) when indexing is enabled,
-            // and the boundary-search fallback otherwise; both return the
-            // same launch times bit for bit. A batch table answers in O(1).
+            // unless the group was carried over already running.
             let launch = if carried {
                 Some(start)
-            } else if let Some(e) = entry {
-                e.table.launch_time(start, cutoff)
             } else {
-                query.launch_time(start, decision.bid, cutoff)
+                crossings.launch_time(start, cutoff)
             };
             let Some(launch_t) = launch else {
-                runs.push(GroupRun {
+                let run = GroupRun {
                     launch: None,
                     end: cutoff.min(trace.duration()).max(start),
                     termination: Termination::Provider,
@@ -432,21 +494,20 @@ impl<'a> PlanRunner<'a> {
                     ckpt_at: start,
                     step_fraction: 0.0,
                     events: Vec::new(),
-                });
+                };
+                *slot = Some((run, trace));
                 continue;
             };
 
             // Death: first passage above the bid after launch — or an
             // injected kill storm, whichever reclaims the group first.
-            let price_death = match entry {
-                Some(e) => e.table.first_passage_above(launch_t),
-                None => query.first_passage_above(launch_t, decision.bid),
-            }
-            .unwrap_or(f64::INFINITY);
+            let price_death = crossings
+                .first_passage_above(launch_t)
+                .unwrap_or(f64::INFINITY);
             let storm_death = ctx
                 .faults
-                .and_then(|f| match entry {
-                    Some(e) => f.storm_kill_after_keyed(e.gkey, launch_t),
+                .and_then(|f| match crossings.gkey() {
+                    Some(gkey) => f.storm_kill_after_keyed(gkey, launch_t),
                     None => f.storm_kill_after(group.id, launch_t),
                 })
                 .unwrap_or(f64::INFINITY);
@@ -466,7 +527,7 @@ impl<'a> PlanRunner<'a> {
                     launch_t,
                     death,
                     cutoff,
-                    entry.map(|e| e.gkey),
+                    crossings.gkey(),
                 )
             } else {
                 closed_form_group(group, decision, fraction, launch_t, death, cutoff)
@@ -482,25 +543,23 @@ impl<'a> PlanRunner<'a> {
                     },
                 ));
             }
-            runs.push(run);
+            *slot = Some((run, trace));
         }
+        let runs = || plan.groups.iter().zip(runs.iter().flatten()).enumerate();
 
         // Phase 2: winner rule — earliest completion terminates the rest.
-        let winner = runs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.completed)
-            .min_by(|a, b| a.1.end.total_cmp(&b.1.end));
+        let winner = runs()
+            .filter(|(_, (_, (r, _)))| r.completed)
+            .map(|(i, (_, (r, _)))| (i, r.end))
+            .min_by(|a, b| a.1.total_cmp(&b.1));
 
         let mut spot_cost = 0.0;
         let mut groups_failed = 0u32;
         let recorder = ctx.recorder;
 
         let outcome = match winner {
-            Some((wi, w)) => {
-                let w_end = w.end;
-                for (i, (group, _)) in plan.groups.iter().enumerate() {
-                    let r = &runs[i];
+            Some((wi, w_end)) => {
+                for (i, ((group, _), (r, trace))) in runs() {
                     let Some(launch) = r.launch else { continue };
                     let ended_before_winner = r.end <= w_end && i != wi;
                     let (term, charge_end) = if ended_before_winner {
@@ -521,7 +580,6 @@ impl<'a> PlanRunner<'a> {
                             saved_fraction: r.saved_fraction,
                         });
                     }
-                    let trace = self.market.trace(group.id).expect("checked above");
                     spot_cost += self.billing.spot_cost(
                         trace,
                         launch,
@@ -543,10 +601,8 @@ impl<'a> PlanRunner<'a> {
                 let mut last_end = start;
                 let mut best = 0.0f64;
                 let mut best_step = 0.0f64;
-                for (i, (group, _)) in plan.groups.iter().enumerate() {
-                    let r = &runs[i];
+                for (_, ((group, _), (r, trace))) in runs() {
                     if let Some(launch) = r.launch {
-                        let trace = self.market.trace(group.id).expect("checked above");
                         spot_cost += self.billing.spot_cost(
                             trace,
                             launch,
@@ -1179,6 +1235,45 @@ mod tests {
         // Both groups user-terminated at 2.5 → 3 hours charged each.
         let expect = 0.1 * 3.0 * 2.0 + 0.05 * 3.0 * 2.0;
         assert!((out.spot_cost - expect).abs() < 1e-9, "{}", out.spot_cost);
+    }
+
+    #[test]
+    fn plans_beyond_the_inline_groups_spill_to_the_heap() {
+        // More groups than INLINE_GROUPS: the first (fastest) wins and the
+        // user terminates the rest at its finish, on either executor.
+        let cat = InstanceCatalog::paper_2014();
+        let small = cat.by_name("m1.small").unwrap();
+        let mut m = SpotMarket::new(cat);
+        let groups: Vec<(CircleGroup, GroupDecision)> = (0..INLINE_GROUPS as u8 + 2)
+            .map(|k| {
+                let id = CircleGroupId::new(small, AvailabilityZone::Other(k));
+                m.insert(id, SpotTrace::new(1.0, vec![0.1; 24]));
+                let t = 2.5 + f64::from(k);
+                (
+                    group(id, t),
+                    GroupDecision {
+                        bid: 0.2,
+                        ckpt_interval: t,
+                    },
+                )
+            })
+            .collect();
+        let n = groups.len() as f64;
+        let plan = Plan {
+            groups,
+            on_demand: od(),
+        };
+        let batch = BatchTables::for_plan(&m, &plan).unwrap();
+        let r = PlanRunner::new(&m, 10.0);
+        let scalar = r.run(&plan, 0.0, &ExecContext::new()).unwrap();
+        let batched = r
+            .run(&plan, 0.0, &ExecContext::new().with_batch(&batch))
+            .unwrap();
+        assert_eq!(scalar, batched);
+        assert_eq!(scalar.finisher, Finisher::Spot(plan.groups[0].0.id));
+        assert!((scalar.wall_hours - 2.5).abs() < 1e-9);
+        // Every group charged 3 whole hours at $0.1 × 2 instances.
+        assert!((scalar.spot_cost - 0.6 * n).abs() < 1e-9, "{}", scalar.spot_cost);
     }
 
     #[test]

@@ -6,16 +6,19 @@
 //! a (seed, replica-count) pair regardless of thread count, because each
 //! replica's start offset derives only from the seed and its index.
 //!
-//! Aggregation streams: replicas are folded into per-chunk
-//! [`McAccumulator`]s and chunk partials merged in chunk-index order, so
-//! peak memory is O(number of chunks) — bounded by [`MAX_CHUNKS`] — rather
-//! than O(replicas). Chunk boundaries depend only on the replica count
-//! (never on the thread count), which keeps the merged result bit-identical
-//! at any `threads` setting.
+//! Aggregation streams and splits by what its merge order can change.
+//! Replicas fold into per-chunk `ChunkPartial`s — moments, extrema and
+//! counters, whose float merges are order-sensitive — and the partials
+//! merge in chunk-index order. Chunk boundaries depend only on the replica
+//! count (never on the thread count), which keeps the merged result
+//! bit-identical at any `threads` setting; peak memory is O(number of
+//! chunks), bounded by [`MAX_CHUNKS`]. The quantile histograms hold
+//! integer counts, which merge exactly in any order: each worker fills one
+//! `Quantiles` for all its chunks, and the workers' are summed once.
 
 use crate::batch::BatchTables;
 use crate::exec::{ExecContext, ExecMode, Finisher, PlanRunner, RunOutcome};
-use crate::stats::{StreamingSummary, Summary};
+use crate::stats::{Moments, QuantileHistogram, Summary};
 use crate::Hours;
 use ec2_market::market::SpotMarket;
 use rand::rngs::StdRng;
@@ -49,18 +52,16 @@ impl McResult {
     /// `outcomes` is empty — there is no meaningful aggregate of zero
     /// replicas.
     pub fn from_outcomes(outcomes: &[RunOutcome]) -> Result<Self, SompiError> {
-        if outcomes.is_empty() {
-            return Err(SompiError::NoOutcomes);
-        }
-        let mut merged = McAccumulator::new();
+        let mut merged = ChunkPartial::default();
+        let mut quantiles = Quantiles::default();
         for block in outcomes.chunks(chunk_size(outcomes.len())) {
-            let mut part = McAccumulator::new();
+            let mut part = ChunkPartial::default();
             for o in block {
-                part.push(o);
+                part.push(o, &mut quantiles);
             }
             merged.merge(&part);
         }
-        merged.finish()
+        merged.finish(&quantiles)
     }
 }
 
@@ -78,35 +79,47 @@ fn chunk_size(replicas: usize) -> usize {
     MIN_CHUNK.max(replicas.div_ceil(MAX_CHUNKS))
 }
 
-/// Streaming aggregate of [`RunOutcome`]s: two [`StreamingSummary`] scalar
-/// accumulators plus exact integer counters. Merge partials in a fixed
-/// order (ascending chunk index) for deterministic results.
+/// The order-sensitive part of a chunk's aggregate: cost and time moments
+/// plus exact integer counters. Merge partials in a fixed order (ascending
+/// chunk index) for deterministic results.
 #[derive(Debug, Clone, Default)]
-pub struct McAccumulator {
-    cost: StreamingSummary,
-    time: StreamingSummary,
+struct ChunkPartial {
+    cost: Moments,
+    time: Moments,
     met_deadline: u64,
     spot_finish: u64,
     failures: u64,
 }
 
-impl McAccumulator {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// The order-free part: cost and time quantile histograms, one per worker.
+#[derive(Debug, Clone, Default)]
+struct Quantiles {
+    cost: QuantileHistogram,
+    time: QuantileHistogram,
+}
 
-    /// Fold one replica outcome in.
-    pub fn push(&mut self, o: &RunOutcome) {
+impl Quantiles {
+    fn merge(&mut self, other: &Self) {
+        self.cost.merge(&other.cost);
+        self.time.merge(&other.time);
+    }
+}
+
+impl ChunkPartial {
+    /// Fold one replica outcome into this chunk and its worker's
+    /// `quantiles`.
+    fn push(&mut self, o: &RunOutcome, quantiles: &mut Quantiles) {
         self.cost.push(o.total_cost);
         self.time.push(o.wall_hours);
+        quantiles.cost.push(o.total_cost);
+        quantiles.time.push(o.wall_hours);
         self.met_deadline += u64::from(o.met_deadline);
         self.spot_finish += u64::from(matches!(o.finisher, Finisher::Spot(_)));
         self.failures += u64::from(o.groups_failed);
     }
 
-    /// Merge another partial in.
-    pub fn merge(&mut self, other: &Self) {
+    /// Merge the next chunk's partial in.
+    fn merge(&mut self, other: &Self) {
         self.cost.merge(&other.cost);
         self.time.merge(&other.time);
         self.met_deadline += other.met_deadline;
@@ -114,16 +127,16 @@ impl McAccumulator {
         self.failures += other.failures;
     }
 
-    /// Finish into an [`McResult`]; `Err(SompiError::NoOutcomes)` when no
-    /// outcomes were accumulated.
-    pub fn finish(&self) -> Result<McResult, SompiError> {
+    /// Finish into an [`McResult`], given the histograms of every replica
+    /// folded in; `Err(SompiError::NoOutcomes)` when there were none.
+    fn finish(&self, quantiles: &Quantiles) -> Result<McResult, SompiError> {
         if self.cost.count() == 0 {
             return Err(SompiError::NoOutcomes);
         }
         let n = self.cost.count() as f64;
         Ok(McResult {
-            cost: self.cost.summary(),
-            time: self.time.summary(),
+            cost: self.cost.summary(&quantiles.cost),
+            time: self.time.summary(&quantiles.time),
             deadline_rate: self.met_deadline as f64 / n,
             spot_finish_rate: self.spot_finish as f64 / n,
             mean_failures: self.failures as f64 / n,
@@ -223,12 +236,13 @@ impl MonteCarlo {
     }
 
     /// Run `f(start_offset)` for every replica in parallel and aggregate
-    /// by streaming: each worker folds whole chunks of replicas into
-    /// [`McAccumulator`] partials (never materializing per-replica
-    /// outcomes), and the partials merge in ascending chunk order. Chunk
-    /// boundaries depend only on the replica count, so the result is
-    /// bit-identical at every `threads` setting and peak memory is bounded
-    /// by [`MAX_CHUNKS`] partials regardless of the replica count.
+    /// by streaming, never materializing per-replica outcomes: each worker
+    /// folds whole chunks of replicas into `ChunkPartial`s, which merge
+    /// in ascending chunk order, and into its own `Quantiles`, which are
+    /// summed once at the end. Chunk boundaries depend only on the replica
+    /// count, so the result is bit-identical at every `threads` setting,
+    /// and peak memory is bounded by [`MAX_CHUNKS`] partials plus one pair
+    /// of histograms per worker, regardless of the replica count.
     ///
     /// When it spawns more than one worker, each runs with its
     /// [`WorkerShare`] of the cores, so an optimizer search inside `f` (the
@@ -259,63 +273,63 @@ impl MonteCarlo {
         let n_chunks = self.replicas.div_ceil(chunk);
         let per_worker = n_chunks.div_ceil(resolve_threads(self.threads).min(n_chunks));
         let workers = n_chunks.div_ceil(per_worker);
-        // Fold one chunk of consecutive replicas; stops at the chunk's
-        // first replica error.
-        let run_chunk = |c: usize| -> Result<McAccumulator, SompiError> {
-            let hi = ((c + 1) * chunk).min(self.replicas);
-            let mut acc = McAccumulator::new();
-            for i in c * chunk..hi {
-                acc.push(&f(self.offset(i))?);
-            }
-            Ok(acc)
-        };
-        // One slot per chunk, filled by whichever worker ran it. A worker
-        // abandons its remaining (higher-index) chunks after an error —
-        // those can never beat the error it already holds.
-        let mut parts: Vec<Option<Result<McAccumulator, SompiError>>> =
-            (0..n_chunks).map(|_| None).collect();
-        if workers <= 1 {
-            for (c, slot) in parts.iter_mut().enumerate() {
-                let part = run_chunk(c);
-                let failed = part.is_err();
-                *slot = Some(part);
+        // Fold a worker's run of consecutive chunks, `first` onwards, into
+        // `slots` and the worker's histograms. A worker abandons its
+        // remaining (higher-index) chunks after a replica error — those can
+        // never beat the error it already holds.
+        let run_chunks = |first: usize, slots: &mut [Option<Result<ChunkPartial, SompiError>>]| {
+            let mut quantiles = Quantiles::default();
+            for (c, slot) in (first..).zip(slots.iter_mut()) {
+                let hi = ((c + 1) * chunk).min(self.replicas);
+                let mut part = ChunkPartial::default();
+                let folded = (c * chunk..hi).try_for_each(|i| {
+                    part.push(&f(self.offset(i))?, &mut quantiles);
+                    Ok(())
+                });
+                let failed = folded.is_err();
+                *slot = Some(folded.map(|()| part));
                 if failed {
                     break;
                 }
             }
+            quantiles
+        };
+        // One slot per chunk, filled by whichever worker ran it.
+        let mut parts: Vec<Option<Result<ChunkPartial, SompiError>>> =
+            (0..n_chunks).map(|_| None).collect();
+        let quantiles = if workers <= 1 {
+            run_chunks(0, &mut parts)
         } else {
             let share = WorkerShare::of(workers);
+            let run_chunks = &run_chunks;
             crossbeam::thread::scope(|s| {
-                for (w, slots) in parts.chunks_mut(per_worker).enumerate() {
-                    let run_chunk = &run_chunk;
-                    s.spawn(move |_| {
-                        share.run(|| {
-                            for (off, slot) in slots.iter_mut().enumerate() {
-                                let part = run_chunk(w * per_worker + off);
-                                let failed = part.is_err();
-                                *slot = Some(part);
-                                if failed {
-                                    break;
-                                }
-                            }
-                        })
-                    });
+                let handles: Vec<_> = parts
+                    .chunks_mut(per_worker)
+                    .enumerate()
+                    .map(|(w, slots)| {
+                        s.spawn(move |_| share.run(|| run_chunks(w * per_worker, slots)))
+                    })
+                    .collect();
+                let mut all = Quantiles::default();
+                for h in handles {
+                    all.merge(&h.join().expect("Monte-Carlo worker panicked"));
                 }
+                all
             })
-            .expect("crossbeam scope failed");
-        }
+            .expect("crossbeam scope failed")
+        };
         // Deterministic merge: ascending chunk index. The first error in
         // chunk order is the lowest-replica-index error, because each
         // worker fills its slots in order and stops at its first failure.
-        let mut merged = McAccumulator::new();
+        let mut merged = ChunkPartial::default();
         for part in parts {
             match part {
-                Some(Ok(acc)) => merged.merge(&acc),
+                Some(Ok(part)) => merged.merge(&part),
                 Some(Err(e)) => return Err(e),
                 None => unreachable!("unfilled chunk slot before the first error"),
             }
         }
-        merged.finish()
+        merged.finish(&quantiles)
     }
 
     /// Convenience: Monte-Carlo over a static plan via [`PlanRunner`].
@@ -485,7 +499,10 @@ mod tests {
     #[test]
     fn empty_outcomes_aggregate_to_error() {
         assert_eq!(McResult::from_outcomes(&[]), Err(SompiError::NoOutcomes));
-        assert_eq!(McAccumulator::new().finish(), Err(SompiError::NoOutcomes));
+        assert_eq!(
+            ChunkPartial::default().finish(&Quantiles::default()),
+            Err(SompiError::NoOutcomes)
+        );
     }
 
     #[test]
@@ -553,6 +570,125 @@ mod tests {
             mc.run_plan(&m, &plan, 1.0, &ExecContext::new()),
             Err(SompiError::InvalidConfig { .. })
         ));
+    }
+
+    /// A constant-time synthetic replica: cost and time spread over many
+    /// octaves, with zeros and repeated values.
+    fn synthetic(start: Hours) -> RunOutcome {
+        let u = start.fract();
+        let cost = match (start * 7.0) as u64 % 5 {
+            0 => 0.0,
+            1 => 12.5,
+            _ => 10f64.powf(u * 8.0 - 3.0),
+        };
+        RunOutcome {
+            total_cost: cost,
+            spot_cost: cost,
+            od_cost: 0.0,
+            wall_hours: 1.0 + u * 100.0,
+            finisher: if u < 0.7 {
+                Finisher::Spot(CircleGroupId::new(
+                    ec2_market::instance::InstanceTypeId(0),
+                    AvailabilityZone::UsEast1a,
+                ))
+            } else {
+                Finisher::OnDemand
+            },
+            groups_failed: (u * 3.0) as u32,
+            met_deadline: u < 0.9,
+        }
+    }
+
+    #[test]
+    fn aggregate_is_pinned_across_threads_and_chunkings() {
+        for replicas in [1, 63, 64, 65, 262_145] {
+            let mc = |threads| {
+                MonteCarlo::builder()
+                    .replicas(replicas)
+                    .seed(17)
+                    .offsets(0.0, 50.0)
+                    .threads(threads)
+                    .build()
+            };
+            let outcomes: Vec<RunOutcome> =
+                (0..replicas).map(|i| synthetic(mc(1).offset(i))).collect();
+            let expected = McResult::from_outcomes(&outcomes).unwrap();
+            for threads in [1, 2, 3, 0] {
+                let got = mc(threads).evaluate(|s| Ok(synthetic(s))).unwrap();
+                assert_eq!(got, expected, "replicas {replicas}, threads {threads}");
+            }
+            // The quantiles match the map-based histogram bit for bit.
+            let oracle = |summary: &Summary, metric: fn(&RunOutcome) -> f64| {
+                let mut h = crate::stats::oracle::MapHistogram::default();
+                outcomes.iter().for_each(|o| h.push(metric(o)));
+                let n = outcomes.len() as u64;
+                for (q, got) in [(0.5, summary.median), (0.95, summary.p95)] {
+                    let want = h.quantile(q, n, summary.min, summary.max);
+                    assert_eq!(got.to_bits(), want.to_bits(), "replicas {replicas}, q {q}");
+                }
+            };
+            oracle(&expected.cost, |o| o.total_cost);
+            oracle(&expected.time, |o| o.wall_hours);
+            // Pinned against the aggregation with per-chunk map
+            // histograms that this one replaced (`{:?}` prints every f64
+            // exactly).
+            let pinned = match replicas {
+                65 => Some(PINNED_65),
+                262_145 => Some(PINNED_262_145),
+                _ => None,
+            };
+            if let Some(pinned) = pinned {
+                assert_eq!(format!("{expected:?}"), pinned);
+            }
+        }
+    }
+
+    const PINNED_65: &str = "McResult { cost: Summary { n: 65, mean: 3103.760901706843, \
+        std_dev: 11302.207561653964, min: 0.0, max: 62467.277038383036, median: 1.666015625, \
+        p95: 20214.399999999976 }, time: Summary { n: 65, mean: 49.73336610463766, \
+        std_dev: 28.7175125601364, min: 2.4921312547850007, max: 98.44565719214613, \
+        median: 44.4375, p95: 95.275 }, deadline_rate: 0.9076923076923077, \
+        spot_finish_rate: 0.7076923076923077, mean_failures: 1.0461538461538462 }";
+
+    const PINNED_262_145: &str = "McResult { cost: Summary { n: 262145, \
+        mean: 3248.7960807903733, std_dev: 12322.879094156177, min: 0.0, \
+        max: 99968.96128454774, median: 10.169719827586206, p95: 21415.845161290297 }, \
+        time: Summary { n: 262145, mean: 51.01467820029605, std_dev: 28.836270817483665, \
+        min: 1.0006210732728107, max: 100.99974977851167, median: 51.03134384384384, \
+        p95: 96.02098145285936 }, deadline_rate: 0.900276564496748, \
+        spot_finish_rate: 0.7009098018272331, mean_failures: 1.0004539472429381 }";
+
+    #[test]
+    fn first_error_in_replica_order_wins() {
+        let mc = |threads| {
+            MonteCarlo::builder()
+                .replicas(20_000)
+                .seed(3)
+                .offsets(0.0, 50.0)
+                .threads(threads)
+                .build()
+        };
+        // Failing replicas in several chunks, listed out of order; the
+        // error of the lowest replica index must win at any thread count.
+        let failing: std::collections::BTreeMap<u64, usize> = [15_000, 4_321, 9_999, 4_400, 19_999]
+            .into_iter()
+            .map(|i| (mc(1).offset(i).to_bits(), i))
+            .collect();
+        for threads in [1, 2, 3, 0] {
+            let r = mc(threads).evaluate(|s| match failing.get(&s.to_bits()) {
+                Some(i) => Err(SompiError::InvalidConfig {
+                    message: format!("replica {i}"),
+                }),
+                None => Ok(synthetic(s)),
+            });
+            assert_eq!(
+                r,
+                Err(SompiError::InvalidConfig {
+                    message: "replica 4321".into()
+                }),
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! * an un-terminable bid (no failure mass observed) degenerates to
 //!   `F = T_i` — checkpointing disabled, matching the paper's convention;
 //! * a very failure-prone bid clamps to `O_i` (checkpointing any faster
-//!   than the checkpoint itself is useless).
+//!   than the checkpoint itself is useless);
+//! * a group whose checkpoint overhead is at least its run time
+//!   (`O_i ≥ T_i`) never checkpoints: `F = T_i`.
 
 use crate::error::SompiError;
 use crate::model::CircleGroup;
@@ -80,8 +82,10 @@ pub fn phi_horizon(group: &CircleGroup) -> usize {
 /// ```
 pub fn interval_from_mttf(group: &CircleGroup, mttf: Option<Hours>) -> Hours {
     match mttf {
-        // No observed failures: do not checkpoint.
+        // No observed failures, or a checkpoint that takes at least as
+        // long as the run itself: do not checkpoint.
         None => group.exec_hours,
+        Some(_) if group.ckpt_overhead_hours >= group.exec_hours => group.exec_hours,
         Some(m) => {
             let f = (2.0 * group.ckpt_overhead_hours * m).sqrt();
             f.clamp(group.ckpt_overhead_hours, group.exec_hours)
@@ -132,6 +136,17 @@ mod tests {
         let g = group(10.0, 0.5);
         // Tiny MTTF → interval would go below O; clamp to O.
         assert_eq!(interval_from_mttf(&g, Some(1e-6)), 0.5);
+    }
+
+    #[test]
+    fn overhead_at_least_run_time_disables_checkpoints() {
+        // O > T used to panic in `clamp` ("min > max").
+        let g = group(0.3, 0.5);
+        for mttf in [Some(1e-6), Some(1.0), Some(1e6), None] {
+            assert_eq!(interval_from_mttf(&g, mttf), 0.3);
+        }
+        // O == T: the same, no checkpoint.
+        assert_eq!(interval_from_mttf(&group(0.5, 0.5), Some(1.0)), 0.5);
     }
 
     #[test]

@@ -534,6 +534,23 @@ mod tests {
     }
 
     #[test]
+    fn every_npb_app_plans_at_one_repeat() {
+        // At one repeat a group's checkpoint overhead can exceed its run
+        // time; `plan` used to abort in the φ interval's `clamp`.
+        let market = market(100.0);
+        for kernel in NpbKernel::FULL_SUITE {
+            let req = PlanRequest {
+                app: kernel.to_string(),
+                repeats: 1,
+                ..small_request()
+            };
+            let report = plan(&market, &req, &NullRecorder, None)
+                .unwrap_or_else(|e| panic!("{kernel}: {e}"));
+            assert!(report.expected_cost > 0.0, "{kernel}");
+        }
+    }
+
+    #[test]
     fn plan_request_key_ignores_tenant_but_not_problem_shape() {
         let market = market(100.0);
         let a = small_request();
