@@ -2,18 +2,15 @@
 //!
 //! Two studies:
 //!
-//! * **kernel** — single-candidate microbenchmark of
-//!   [`evaluate_with_scratch`] at k ∈ {4, 8, 12} assessed groups, across
-//!   the three kernel modes:
-//!   1. `scalar`    — the original per-mask loop (`--no-kernel-caps`),
-//!      O(2^k · k · T) bucket scans per evaluation,
-//!   2. `caps-memo` — the k×k caps table memoizes
-//!      `expected_billed_capped(w*)` per (group, winner-wall) pair,
-//!      O(k² · T + 2^k · k),
-//!   3. `caps+SoA`  — the same table plus contiguous struct-of-arrays
-//!      packing of the per-mask scalars (the default).
+//! * **kernel** — single-candidate microbenchmark at k ∈ {4, 8, 12}
+//!   assessed groups, two arms:
+//!   1. `reference` — [`evaluate_reference`], the textbook per-mask loop,
+//!      O(2^k · k · T) bucket scans per evaluation (the test oracle),
+//!   2. `caps-memo` — [`evaluate_with_scratch`], whose k×k caps table
+//!      memoizes `expected_billed_capped(w*)` per (group, winner-wall)
+//!      pair, O(k² · T + 2^k · k) — the one production kernel.
 //!
-//!   Every mode must return bit-identical `Evaluation`s; only nanoseconds
+//!   Both arms must return bit-identical `Evaluation`s; only nanoseconds
 //!   per evaluation may change. Timings are best-of-5.
 //!
 //! * **replan** — per-window re-plan wall-clock over sliding views of the
@@ -34,7 +31,7 @@ use sompi_bench::{
 };
 use sompi_core::adaptive::PlanContext;
 use sompi_core::cost::{
-    evaluate_with_scratch, EvalScratch, Evaluation, GroupAssessment, KernelMode,
+    evaluate_reference, evaluate_with_scratch, EvalScratch, Evaluation, GroupAssessment,
 };
 use sompi_core::model::GroupDecision;
 use sompi_core::pool::SearchPool;
@@ -55,7 +52,7 @@ const WINDOW_STEP_HOURS: f64 = 2.0;
 /// genuine, distinct assessment (different walls, different bucket
 /// tables) — the caps table gets no accidental dedup help. Bids span the
 /// historical price range: low rungs carry dense failure mass (the
-/// scalar kernel's per-mask bucket scans actually run), high rungs
+/// reference kernel's per-mask bucket scans actually run), high rungs
 /// mostly survive — the mix a real candidate carries.
 fn assessments(problem: &Problem, view: &MarketView, k: usize) -> Vec<GroupAssessment> {
     (0..k)
@@ -75,31 +72,21 @@ fn assessments(problem: &Problem, view: &MarketView, k: usize) -> Vec<GroupAsses
         .collect()
 }
 
-/// Best-of-`trials` nanoseconds per call of `evaluate_with_scratch` on a
-/// warmed scratch, plus the (trial-invariant) evaluation itself.
-fn bench_mode(
-    refs: &[&GroupAssessment],
-    od: &sompi_core::model::OnDemandOption,
-    mode: KernelMode,
-    repeats: u32,
-    trials: u32,
-) -> (Evaluation, f64) {
-    let mut scratch = EvalScratch::with_mode(mode);
-    let eval = evaluate_with_scratch(refs, od, &mut scratch); // warm the buffers
+/// Best-of-`trials` nanoseconds per call of `eval`, plus the
+/// (trial-invariant) evaluation itself. The first call also warms any
+/// scratch buffers `eval` holds.
+fn bench_arm(mut eval: impl FnMut() -> Evaluation, repeats: u32, trials: u32) -> (Evaluation, f64) {
+    let first = eval();
     let mut best = f64::INFINITY;
     for _ in 0..trials {
         let started = Instant::now();
         for _ in 0..repeats {
-            std::hint::black_box(evaluate_with_scratch(
-                std::hint::black_box(refs),
-                od,
-                &mut scratch,
-            ));
+            std::hint::black_box(eval());
         }
         let nanos = started.elapsed().as_nanos() as f64 / f64::from(repeats);
         best = best.min(nanos);
     }
-    (eval, best)
+    (first, best)
 }
 
 fn assert_eval_bits(a: &Evaluation, b: &Evaluation, label: &str) {
@@ -123,17 +110,13 @@ fn assert_eval_bits(a: &Evaluation, b: &Evaluation, label: &str) {
 struct KernelRow {
     k: usize,
     buckets: usize,
-    scalar_ns: f64,
+    reference_ns: f64,
     memo_ns: f64,
-    soa_ns: f64,
 }
 
 impl KernelRow {
     fn memo_speedup(&self) -> f64 {
-        self.scalar_ns / self.memo_ns
-    }
-    fn soa_speedup(&self) -> f64 {
-        self.scalar_ns / self.soa_ns
+        self.reference_ns / self.memo_ns
     }
 }
 
@@ -147,23 +130,23 @@ fn run_kernel_study(smoke: bool) -> Vec<KernelRow> {
     let view = MarketView::from_market(&market, 0.0, HISTORY_HOURS);
     let od = *problem.baseline();
 
-    println!("kernel study: single-candidate evaluate_with_scratch, best-of-5");
+    println!(
+        "kernel study: single-candidate evaluate_reference vs evaluate_with_scratch, best-of-5"
+    );
     let mut t = Table::new([
         "k",
         "masks",
         "T (buckets)",
-        "scalar (ns)",
+        "reference (ns)",
         "caps-memo (ns)",
-        "caps+SoA (ns)",
-        "memo speedup",
-        "SoA speedup",
+        "speedup",
     ]);
     let mut rows = Vec::new();
     for &k in &KS {
         let assessed = assessments(&problem, &view, k);
         let refs: Vec<&GroupAssessment> = assessed.iter().collect();
         let buckets = assessed.iter().map(|a| a.fail_buckets.len()).max().unwrap();
-        // Scalar at k = 12 walks 4096 masks × 12 bucket scans per call;
+        // The reference at k = 12 walks 4096 masks × 12 bucket scans per call;
         // scale repeats so every arm's trial stays in tens of milliseconds.
         let repeats = match (smoke, k) {
             (true, _) => 3,
@@ -171,28 +154,32 @@ fn run_kernel_study(smoke: bool) -> Vec<KernelRow> {
             (false, 8) => 300,
             _ => 20,
         };
-        let (scalar_eval, scalar_ns) = bench_mode(&refs, &od, KernelMode::Scalar, repeats, 5);
-        let (memo_eval, memo_ns) = bench_mode(&refs, &od, KernelMode::CapsMemo, repeats, 5);
-        let (soa_eval, soa_ns) = bench_mode(&refs, &od, KernelMode::CapsSoa, repeats, 5);
-        assert_eval_bits(&scalar_eval, &memo_eval, &format!("k={k} caps-memo"));
-        assert_eval_bits(&scalar_eval, &soa_eval, &format!("k={k} caps+SoA"));
+        let (reference_eval, reference_ns) = bench_arm(
+            || evaluate_reference(std::hint::black_box(&refs), &od),
+            repeats,
+            5,
+        );
+        let mut scratch = EvalScratch::new();
+        let (memo_eval, memo_ns) = bench_arm(
+            || evaluate_with_scratch(std::hint::black_box(&refs), &od, &mut scratch),
+            repeats,
+            5,
+        );
+        assert_eval_bits(&reference_eval, &memo_eval, &format!("k={k} caps-memo"));
 
         let row = KernelRow {
             k,
             buckets,
-            scalar_ns,
+            reference_ns,
             memo_ns,
-            soa_ns,
         };
         t.row([
             format!("{k}"),
             format!("{}", 1u64 << k),
             format!("{buckets}"),
-            format!("{scalar_ns:.0}"),
+            format!("{reference_ns:.0}"),
             format!("{memo_ns:.0}"),
-            format!("{soa_ns:.0}"),
             format!("{:.2}x", row.memo_speedup()),
-            format!("{:.2}x", row.soa_speedup()),
         ]);
         rows.push(row);
     }
@@ -307,15 +294,15 @@ fn main() {
     let replan_arms = run_replan_study(smoke);
 
     println!("(Every arm must match its reference bit-identically: the caps");
-    println!(" table keeps the scalar kernel's summation order, the SoA pack");
-    println!(" only relocates reads, and the pool never splits the work.)");
+    println!(" table keeps the reference kernel's summation order, and the");
+    println!(" pool never splits the work.)");
 
     if !smoke {
         let k8 = kernel_rows.iter().find(|r| r.k == 8).expect("k=8 row");
         assert!(
-            k8.soa_speedup() >= 5.0,
-            "caps+SoA kernel speedup at k=8 is {:.2}x — below the 5x acceptance bar",
-            k8.soa_speedup()
+            k8.memo_speedup() >= 5.0,
+            "caps-memo kernel speedup at k=8 is {:.2}x — below the 5x acceptance bar",
+            k8.memo_speedup()
         );
         let scoped = &replan_arms[0];
         let pooled = &replan_arms[1];
@@ -326,11 +313,9 @@ fn main() {
                     "k": r.k,
                     "masks": (1u64 << r.k),
                     "buckets": r.buckets,
-                    "scalar_ns_per_eval": r.scalar_ns,
+                    "scalar_ns_per_eval": r.reference_ns,
                     "caps_memo_ns_per_eval": r.memo_ns,
-                    "caps_soa_ns_per_eval": r.soa_ns,
                     "caps_memo_speedup": r.memo_speedup(),
-                    "caps_soa_speedup": r.soa_speedup(),
                 })
             })
             .collect();

@@ -37,7 +37,8 @@ use mpi_sim::npb::{NpbClass, NpbKernel};
 use replay::{ExecContext, ExecMode, MonteCarlo};
 use sompi_bench::{build_problem, paper_market, planning_view, repeat_to_hours, Table, LOOSE};
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{Sompi, Strategy};
+use sompi_core::baselines::Sompi;
+use sompi_core::policy::Policy;
 use sompi_core::pool::SearchPool;
 use sompi_core::twolevel::OptimizerConfig;
 use sompi_obs::NullRecorder;

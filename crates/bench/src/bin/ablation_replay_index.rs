@@ -27,7 +27,8 @@ use mpi_sim::npb::{NpbClass, NpbKernel};
 use replay::{ExecContext, MonteCarlo};
 use sompi_bench::{build_problem, paper_market, planning_view, repeat_to_hours, Table, LOOSE};
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{SpotInf, Strategy};
+use sompi_core::baselines::SpotInf;
+use sompi_core::policy::Policy;
 use std::time::Instant;
 
 /// Best-of-N wall-clock of `f`, returning the last value for identity

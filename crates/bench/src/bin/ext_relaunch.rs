@@ -15,8 +15,9 @@ use sompi_bench::{
     build_problem, planning_view, repeat_to_hours, replicas, stress_market, Table, LOOSE, PROCESSES,
 };
 use sompi_core::adaptive::PlanContext;
-use sompi_core::baselines::{SompiNoReplication, Strategy};
+use sompi_core::baselines::SompiNoReplication;
 use sompi_core::model::Plan;
+use sompi_core::policy::Policy;
 use sompi_core::twolevel::OptimizerConfig;
 
 fn main() {

@@ -41,10 +41,6 @@ pub(crate) const PLAN_FLAGS: &[&str] = &[
     "threads",
     "trace-out",
     "trace-level",
-    "no-prune-dominance",
-    "no-prune-bound",
-    "no-shared-incumbent",
-    "no-kernel-caps",
     "no-trace-index",
 ];
 
@@ -68,12 +64,6 @@ pub(crate) fn plan_request_from(args: &Args) -> Result<PlanRequest, CliError> {
         bid_levels: args.u64_or("levels", 12)? as u32,
         slack: args.f64_or("slack", 0.2)?,
         threads: args.u64_or("threads", 0)? as u32,
-        // Pruning ablation switches; all stages preserve the exact
-        // optimum, so disabling them only changes planner wall-clock.
-        prune_dominance: !args.flag("no-prune-dominance"),
-        prune_bound: !args.flag("no-prune-bound"),
-        shared_incumbent: !args.flag("no-shared-incumbent"),
-        kernel_caps: !args.flag("no-kernel-caps"),
         history_hours: args.f64_or("history", 48.0)?,
         view_start_hours: 0.0,
     })
@@ -658,28 +648,6 @@ mod tests {
         assert_eq!(wdoc["mean_windows"], cdoc["mean_windows"]);
         assert_eq!(wdoc["warmstart"], serde_json::json!(true));
         assert_eq!(cdoc["warmstart"], serde_json::json!(false));
-    }
-
-    #[test]
-    fn kernel_caps_ablation_does_not_change_the_plan() {
-        // The caps-memoized SoA kernel is exactness-preserving: the full
-        // plan report must be bit-identical with it ablated.
-        let base = [
-            "--hours",
-            "200",
-            "--repeats",
-            "50",
-            "--kappa",
-            "2",
-            "--levels",
-            "3",
-            "--json",
-        ];
-        let fast = run(cmd_plan, &base);
-        let mut flags = base.to_vec();
-        flags.push("--no-kernel-caps");
-        let scalar = run(cmd_plan, &flags);
-        assert_eq!(fast, scalar, "--no-kernel-caps changed the plan report");
     }
 
     #[test]

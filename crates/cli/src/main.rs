@@ -47,14 +47,8 @@ COMMON FLAGS:
                                runs each window's search in its Monte-Carlo
                                worker, capped at that worker's share of the
                                cores (one thread once the workers fill them)
-    --no-prune-dominance / --no-prune-bound / --no-shared-incumbent
-                               disable exactness-preserving search pruning stages
-                               (ablation; the optimum never changes)
     --no-trace-index           disable the sparse-table trace index used by
                                replay queries (ablation; answers never change)
-    --no-kernel-caps           force the scalar cost kernel instead of the
-                               auto-selected cap-memo/SoA kernels (ablation;
-                               plans never change)
     --no-batch-replay          disable the batched scenario-major replay
                                executor (ablation; outcomes are bit-identical,
                                only replay wall-clock changes)

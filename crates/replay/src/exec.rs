@@ -52,8 +52,8 @@ use sompi_core::error::SompiError;
 use sompi_core::model::{CircleGroup, GroupDecision, Plan};
 use sompi_obs::{emit, Event, NullRecorder, Recorder, TraceLevel};
 
-/// How Monte-Carlo replay resolves launch/death crossings — the PR-10
-/// ablation toggle, mirroring the PR-8 `KernelMode`.
+/// How Monte-Carlo replay resolves launch/death crossings — the
+/// batched-replay ablation toggle.
 ///
 /// Both modes produce bit-identical [`RunOutcome`]s (enforced by the
 /// `mc_batch_differential` suite); `Batched` is the faster default.
@@ -1273,7 +1273,11 @@ mod tests {
         assert_eq!(scalar.finisher, Finisher::Spot(plan.groups[0].0.id));
         assert!((scalar.wall_hours - 2.5).abs() < 1e-9);
         // Every group charged 3 whole hours at $0.1 × 2 instances.
-        assert!((scalar.spot_cost - 0.6 * n).abs() < 1e-9, "{}", scalar.spot_cost);
+        assert!(
+            (scalar.spot_cost - 0.6 * n).abs() < 1e-9,
+            "{}",
+            scalar.spot_cost
+        );
     }
 
     #[test]

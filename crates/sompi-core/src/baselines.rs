@@ -1,7 +1,6 @@
 //! Every comparison strategy from the paper's evaluation (Sections 5.3 and
 //! 5.4.2), behind the one [`crate::policy::Policy`] trait so experiments
-//! can sweep them (`Strategy` is a thin re-export of that trait, kept for
-//! source compatibility).
+//! can sweep them.
 //!
 //! | Name        | Paper description |
 //! |-------------|-------------------|
@@ -25,11 +24,6 @@ use crate::policy::Policy;
 use crate::problem::Problem;
 use crate::twolevel::{OptimizerConfig, TwoLevelOptimizer};
 use crate::view::MarketView;
-
-/// The historical name for [`Policy`], kept as a thin re-export so
-/// long-lived experiment code keeps compiling. New code should name
-/// [`Policy`] directly.
-pub use crate::policy::Policy as Strategy;
 
 /// The evaluation's *On-demand* method.
 #[derive(Debug, Clone, Copy, Default)]
@@ -255,7 +249,7 @@ fn single_group_plan(
         .unwrap_or_else(|| Plan::on_demand_only(od)))
 }
 
-/// The full SOMPI optimizer as a [`Strategy`].
+/// The full SOMPI optimizer as a [`Policy`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sompi {
     /// Optimizer knobs.

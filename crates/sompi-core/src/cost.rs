@@ -22,9 +22,9 @@
 //!   `E[min_j Ratio_j]` (Formulas 7/11) are computed from products of
 //!   per-group CDFs — again 1-D.
 //!
-//! Total: `O(2^K · K · T)` exact, no sampling — and the default kernel
-//! tightens that to `O(K² · T + 2^K · K)` by memoizing the per-candidate
-//! caps table (see below). `replay` cross-checks this model against
+//! Total: `O(2^K · K · T)` exact, no sampling — and the kernel tightens
+//! that to `O(K² · T + 2^K · K)` by memoizing the per-candidate caps
+//! table (see below). `replay` cross-checks this model against
 //! Monte-Carlo trace replay (the paper's §5.4.1 accuracy study, max
 //! relative difference ≈ 15%).
 //!
@@ -41,12 +41,13 @@
 //!   looked up in the loops; every buffer the kernel needs lives in a
 //!   caller-reusable [`EvalScratch`].
 //! * The winner wall `w*` can only take one of the ≤ `K` completion
-//!   walls, so the default [`KernelMode`] memoizes each group's
-//!   `E[billed | fail, cap]` at every attainable wall once per candidate
-//!   (a `K × K` table) instead of rescanning the `T` fail buckets in
-//!   every one of the `2^K − 1` patterns, and packs the per-mask scalars
-//!   into contiguous SoA arrays. The memo calls the same summation the
-//!   scalar kernel runs, so results are bit-identical (DESIGN.md §14).
+//!   walls, so the kernel memoizes each group's `E[billed | fail, cap]`
+//!   at every attainable wall once per candidate (a `K × K` table)
+//!   instead of rescanning the `T` fail buckets in every one of the
+//!   `2^K − 1` patterns, and answers the all-fail branch from per-group
+//!   prefix sums. The memo calls the same summation the textbook loop
+//!   runs, so results are bit-identical to [`evaluate_reference`], the
+//!   `O(2^K · K · T)` test oracle (DESIGN.md §14).
 
 use crate::error::SompiError;
 use crate::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
@@ -340,73 +341,17 @@ impl Evaluation {
     }
 }
 
-/// Which kernel [`evaluate_with_scratch`] runs. Every mode returns
-/// bit-identical [`Evaluation`]s — the memoized modes reuse the scalar
-/// kernel's exact summation order (the caps table is filled by calling
-/// `GroupAssessment::expected_billed_capped` itself, and the mask loop
-/// accumulates in the same group order) — they only differ in how much
-/// redundant work the mask loop performs. See DESIGN.md §14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// The original kernel: every failed group rescans all `T` fail
-    /// buckets in every one of the `2^k − 1` patterns — `O(2^k · k · T)`.
-    /// Kept verbatim as the `--no-kernel-caps` ablation baseline.
-    Scalar,
-    /// Memoize the per-candidate `k × k` caps table (the winner wall
-    /// `w*` can only take one of the ≤ `k` completion walls), but keep
-    /// reading the per-group scalars through the `&[&GroupAssessment]`
-    /// refs — `O(k² · T + 2^k · k)` with pointer-chasing intact. The
-    /// all-fail branch switches to the prefix-sum sweep (see
-    /// [`EvalScratch`]).
-    CapsMemo,
-    /// Caps table plus contiguous SoA copies of the per-mask scalars
-    /// (survival, fail probability, completion wall, hourly cost), so the
-    /// mask loop is pure flat-array arithmetic. The default.
-    #[default]
-    CapsSoa,
-}
-
-impl KernelMode {
-    /// Per-subset crossover for `EXPERIMENTS.md`'s kernel ablation: the
-    /// SoA copies only pay off once the `2^k` mask loop dominates the
-    /// `O(k)` `prepare` copy, which BENCH_kernel.json places at `k ≈ 12`.
-    /// Below that, [`KernelMode::CapsMemo`] reads the scalars through the
-    /// assessment refs and wins. Results are bit-identical either way —
-    /// this only picks the faster of the two memoized kernels.
-    pub const AUTO_SOA_MIN_GROUPS: usize = 13;
-
-    /// The faster memoized kernel for a `k`-group subset:
-    /// [`KernelMode::CapsMemo`] for `k < `[`Self::AUTO_SOA_MIN_GROUPS`],
-    /// [`KernelMode::CapsSoa`] at or above. Never returns
-    /// [`KernelMode::Scalar`] — that is the `--no-kernel-caps` ablation
-    /// baseline, not a performance point.
-    pub fn auto_for(group_count: usize) -> Self {
-        if group_count < Self::AUTO_SOA_MIN_GROUPS {
-            KernelMode::CapsMemo
-        } else {
-            KernelMode::CapsSoa
-        }
-    }
-}
-
 /// Reusable workspace for [`evaluate_with_scratch`]: the candidate
-/// wall/ratio value collection used by the all-fail branch, plus — in the
-/// memoized [`KernelMode`]s — the per-candidate SoA scalar arrays and the
-/// flat `k × k` caps/survivor-billing tables. All buffers grow to the
-/// largest candidate seen and are reused after, so repeated evaluations
-/// (the optimizer's odometer loop) do not allocate.
+/// wall/ratio value collection used by the all-fail branch, the
+/// per-candidate completion walls and the flat `k × k` caps/survivor-billing
+/// tables. All buffers grow to the largest candidate seen and are reused
+/// after, so repeated evaluations (the optimizer's odometer loop) do not
+/// allocate.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     values: Vec<f64>,
-    mode: KernelMode,
-    /// SoA: `completion_wall()` per group.
+    /// `completion_wall()` per group.
     walls: Vec<f64>,
-    /// SoA: `survival` per group ([`KernelMode::CapsSoa`] only).
-    survival: Vec<f64>,
-    /// SoA: `prob_fail()` per group ([`KernelMode::CapsSoa`] only).
-    prob_fail: Vec<f64>,
-    /// SoA: `hourly_cost()` per group ([`KernelMode::CapsSoa`] only).
-    hourly: Vec<f64>,
     /// `caps[j·k + i]` = `groups[j].expected_billed_capped(walls[i])` —
     /// the memoized failed-group billing at every attainable winner wall.
     caps: Vec<f64>,
@@ -414,12 +359,11 @@ pub struct EvalScratch {
     /// the winner finishes at `walls[i]`:
     /// `(walls[i] − delay_j).max(0).min(run_wall_j).ceil()`.
     surv_billed: Vec<f64>,
-    /// Per-group left-to-right prefix sums of `fail_buckets`, flattened
-    /// (memoized modes only). Failure walls are nondecreasing and
-    /// remaining-work ratios nonincreasing in the bucket index, so every
-    /// conditional-CDF sum the all-fail helpers accumulate is one of
-    /// these partial sums — bitwise, since they add the same buckets in
-    /// the same order.
+    /// Per-group left-to-right prefix sums of `fail_buckets`, flattened.
+    /// Failure walls are nondecreasing and remaining-work ratios
+    /// nonincreasing in the bucket index, so every conditional-CDF sum
+    /// the all-fail helpers accumulate is one of these partial sums —
+    /// bitwise, since they add the same buckets in the same order.
     prefix: Vec<f64>,
     /// Group offsets into `prefix` (length `k + 1`; group `j`'s sums span
     /// `prefix[off[j]..off[j + 1]]`).
@@ -431,53 +375,22 @@ pub struct EvalScratch {
 }
 
 impl EvalScratch {
-    /// An empty workspace running the default kernel
-    /// ([`KernelMode::CapsSoa`]). Buffers grow on first use and are
-    /// reused after.
+    /// An empty workspace. Buffers grow on first use and are reused
+    /// after.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty workspace pinned to `mode` (the ablation hook — results
-    /// are bit-identical in every mode).
-    pub fn with_mode(mode: KernelMode) -> Self {
-        Self {
-            mode,
-            ..Self::default()
-        }
-    }
-
-    /// The kernel this workspace runs.
-    pub fn mode(&self) -> KernelMode {
-        self.mode
-    }
-
-    /// Repin the workspace to `mode`. The memo buffers are sized per
-    /// candidate inside `prepare`, so switching kernels between
-    /// evaluations is free — the search loop uses this to pick
-    /// [`KernelMode::auto_for`] each subset size.
-    pub fn set_mode(&mut self, mode: KernelMode) {
-        self.mode = mode;
-    }
-
     /// Fill the memo tables for one candidate. `caps` is computed by
     /// calling [`GroupAssessment::expected_billed_capped`] per `(group,
-    /// wall)` pair — the same left-to-right bucket summation the scalar
-    /// kernel runs per mask — so every table entry is bitwise the value
-    /// the scalar kernel would have recomputed.
+    /// wall)` pair — the same left-to-right bucket summation
+    /// [`evaluate_reference`] runs per mask — so every table entry is
+    /// bitwise the value the reference would have recomputed.
     fn prepare(&mut self, groups: &[&GroupAssessment]) {
         let k = groups.len();
         self.walls.clear();
         self.walls
             .extend(groups.iter().map(|g| g.completion_wall()));
-        if self.mode == KernelMode::CapsSoa {
-            self.survival.clear();
-            self.survival.extend(groups.iter().map(|g| g.survival));
-            self.prob_fail.clear();
-            self.prob_fail.extend(groups.iter().map(|g| g.prob_fail()));
-            self.hourly.clear();
-            self.hourly.extend(groups.iter().map(|g| g.hourly_cost()));
-        }
         self.caps.clear();
         self.surv_billed.clear();
         for g in groups {
@@ -528,6 +441,11 @@ pub fn evaluate(groups: &[&GroupAssessment], od: &OnDemandOption) -> Evaluation 
 
 /// [`evaluate`] with a caller-provided scratch buffer (allocation-free once
 /// the scratch has warmed up).
+///
+/// `w*` is always one of the ≤ k completion walls, and equal walls
+/// memoize to bitwise-equal table entries, so looking the billed hours up
+/// by wall *index* reproduces [`evaluate_reference`]'s arithmetic exactly
+/// — same factors, same order, same rounding.
 pub fn evaluate_with_scratch(
     groups: &[&GroupAssessment],
     od: &OnDemandOption,
@@ -535,163 +453,158 @@ pub fn evaluate_with_scratch(
 ) -> Evaluation {
     let k = groups.len();
     if k == 0 {
-        let cost = od.full_cost_billed();
-        return Evaluation {
-            expected_cost: cost,
-            expected_time: od.exec_hours,
-            p_all_fail: 1.0,
-            expected_spot_cost: 0.0,
-            expected_od_cost: cost,
-        };
+        return pure_on_demand(od);
     }
     assert!(k <= 16, "evaluation is exponential in group count; got {k}");
 
-    let mut e_cost = 0.0;
-    let mut e_time = 0.0;
-    let mut e_spot = 0.0;
-    let mut e_od = 0.0;
-
-    // Patterns with at least one completing group. Three kernels, one
-    // result: `w*` is always one of the ≤ k completion walls, and equal
-    // walls memoize to bitwise-equal table entries, so looking the billed
-    // hours up by wall *index* reproduces the scalar kernel's arithmetic
-    // exactly — same factors, same order, same rounding.
-    match scratch.mode {
-        KernelMode::Scalar => {
-            for mask in 1u32..(1 << k) {
-                let mut p = 1.0;
-                let mut w_star = f64::INFINITY;
-                for (i, g) in groups.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        p *= g.survival;
-                        w_star = w_star.min(g.completion_wall());
-                    } else {
-                        p *= g.prob_fail();
-                    }
+    let mut sums = Evaluation::ZERO;
+    scratch.prepare(groups);
+    for mask in 1u32..(1 << k) {
+        let mut p = 1.0;
+        let mut w_star = f64::INFINITY;
+        let mut wi = 0usize;
+        for (i, g) in groups.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                p *= g.survival;
+                if scratch.walls[i] <= w_star {
+                    w_star = scratch.walls[i];
+                    wi = i;
                 }
-                if p <= 0.0 {
-                    continue;
-                }
-                let mut cost = 0.0;
-                for (i, g) in groups.iter().enumerate() {
-                    let hours = if mask & (1 << i) != 0 {
-                        // Completing groups run until the winner finishes
-                        // (their own waiting time is not billed); user
-                        // termination charges the started hour.
-                        (w_star - g.launch_delay).max(0.0).min(g.run_wall()).ceil()
-                    } else {
-                        g.expected_billed_capped(w_star)
-                    };
-                    cost += g.hourly_cost() * hours;
-                }
-                e_cost += p * cost;
-                e_spot += p * cost;
-                e_time += p * w_star;
+            } else {
+                p *= g.prob_fail();
             }
         }
-        KernelMode::CapsMemo => {
-            scratch.prepare(groups);
-            for mask in 1u32..(1 << k) {
-                let mut p = 1.0;
-                let mut w_star = f64::INFINITY;
-                let mut wi = 0usize;
-                for (i, g) in groups.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        p *= g.survival;
-                        if scratch.walls[i] <= w_star {
-                            w_star = scratch.walls[i];
-                            wi = i;
-                        }
-                    } else {
-                        p *= g.prob_fail();
-                    }
-                }
-                if p <= 0.0 {
-                    continue;
-                }
-                let mut cost = 0.0;
-                for (j, g) in groups.iter().enumerate() {
-                    let hours = if mask & (1 << j) != 0 {
-                        scratch.surv_billed[j * k + wi]
-                    } else {
-                        scratch.caps[j * k + wi]
-                    };
-                    cost += g.hourly_cost() * hours;
-                }
-                e_cost += p * cost;
-                e_spot += p * cost;
-                e_time += p * w_star;
-            }
+        if p <= 0.0 {
+            continue;
         }
-        KernelMode::CapsSoa => {
-            scratch.prepare(groups);
-            for mask in 1u32..(1 << k) {
-                let mut p = 1.0;
-                let mut w_star = f64::INFINITY;
-                let mut wi = 0usize;
-                for i in 0..k {
-                    if mask & (1 << i) != 0 {
-                        p *= scratch.survival[i];
-                        if scratch.walls[i] <= w_star {
-                            w_star = scratch.walls[i];
-                            wi = i;
-                        }
-                    } else {
-                        p *= scratch.prob_fail[i];
-                    }
-                }
-                if p <= 0.0 {
-                    continue;
-                }
-                let mut cost = 0.0;
-                for j in 0..k {
-                    let hours = if mask & (1 << j) != 0 {
-                        scratch.surv_billed[j * k + wi]
-                    } else {
-                        scratch.caps[j * k + wi]
-                    };
-                    cost += scratch.hourly[j] * hours;
-                }
-                e_cost += p * cost;
-                e_spot += p * cost;
-                e_time += p * w_star;
-            }
+        let mut cost = 0.0;
+        for (j, g) in groups.iter().enumerate() {
+            let hours = if mask & (1 << j) != 0 {
+                scratch.surv_billed[j * k + wi]
+            } else {
+                scratch.caps[j * k + wi]
+            };
+            cost += g.hourly_cost() * hours;
         }
+        sums.add_pattern(p, cost, w_star);
     }
+    sums.add_all_fail(groups, od, || {
+        (
+            expected_max_wall_swept(groups, scratch),
+            expected_min_ratio_swept(groups, scratch),
+        )
+    })
+}
 
-    // All-fail pattern: on-demand recovery.
-    let p0: f64 = groups.iter().map(|g| g.prob_fail()).product();
-    if p0 > 0.0 {
-        let spot: f64 = groups
-            .iter()
-            .map(|g| g.hourly_cost() * g.expected_billed())
-            .sum();
-        let (e_max_wall, e_min_ratio) = if scratch.mode == KernelMode::Scalar {
-            (
-                expected_max_wall(groups, &mut scratch.values),
-                expected_min_ratio(groups, &mut scratch.values),
-            )
-        } else {
-            (
-                expected_max_wall_swept(groups, scratch),
-                expected_min_ratio_swept(groups, scratch),
-            )
-        };
-        let od_hours = od.exec_hours * e_min_ratio + od.recovery_hours;
-        // On-demand is billed in whole started instance-hours.
-        let od_cost = od_hours.ceil() * od.unit_price * od.instances as f64;
-        e_cost += p0 * (spot + od_cost);
-        e_spot += p0 * spot;
-        e_od += p0 * od_cost;
-        e_time += p0 * (e_max_wall + od_hours);
+/// The textbook `O(2^k · k · T)` evaluation: every failed group rescans
+/// all `T` fail buckets in every one of the `2^k − 1` patterns, and the
+/// all-fail branch recomputes each conditional CDF from scratch.
+///
+/// This is the test oracle for [`evaluate_with_scratch`] — the two agree
+/// bit for bit on every [`Evaluation`] field. No production path calls
+/// it; the differential tests and the `ablation_kernel` bench do.
+pub fn evaluate_reference(groups: &[&GroupAssessment], od: &OnDemandOption) -> Evaluation {
+    let k = groups.len();
+    if k == 0 {
+        return pure_on_demand(od);
     }
+    assert!(k <= 16, "evaluation is exponential in group count; got {k}");
 
+    let mut sums = Evaluation::ZERO;
+    for mask in 1u32..(1 << k) {
+        let mut p = 1.0;
+        let mut w_star = f64::INFINITY;
+        for (i, g) in groups.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                p *= g.survival;
+                w_star = w_star.min(g.completion_wall());
+            } else {
+                p *= g.prob_fail();
+            }
+        }
+        if p <= 0.0 {
+            continue;
+        }
+        let mut cost = 0.0;
+        for (i, g) in groups.iter().enumerate() {
+            let hours = if mask & (1 << i) != 0 {
+                // Completing groups run until the winner finishes (their
+                // own waiting time is not billed); user termination
+                // charges the started hour.
+                (w_star - g.launch_delay).max(0.0).min(g.run_wall()).ceil()
+            } else {
+                g.expected_billed_capped(w_star)
+            };
+            cost += g.hourly_cost() * hours;
+        }
+        sums.add_pattern(p, cost, w_star);
+    }
+    let mut values = Vec::new();
+    sums.add_all_fail(groups, od, || {
+        (
+            expected_max_wall(groups, &mut values),
+            expected_min_ratio(groups, &mut values),
+        )
+    })
+}
+
+/// A pure on-demand plan: the application runs once, from scratch, on
+/// the fallback option.
+fn pure_on_demand(od: &OnDemandOption) -> Evaluation {
+    let cost = od.full_cost_billed();
     Evaluation {
-        expected_cost: e_cost,
-        expected_time: e_time,
-        p_all_fail: p0,
-        expected_spot_cost: e_spot,
-        expected_od_cost: e_od,
+        expected_cost: cost,
+        expected_time: od.exec_hours,
+        p_all_fail: 1.0,
+        expected_spot_cost: 0.0,
+        expected_od_cost: cost,
+    }
+}
+
+impl Evaluation {
+    /// The empty sum the pattern loops accumulate into.
+    const ZERO: Self = Self {
+        expected_cost: 0.0,
+        expected_time: 0.0,
+        p_all_fail: 0.0,
+        expected_spot_cost: 0.0,
+        expected_od_cost: 0.0,
+    };
+
+    /// Accumulate one pattern with at least one completing group:
+    /// probability `p`, spot cost `cost`, winner wall `w_star`.
+    fn add_pattern(&mut self, p: f64, cost: Usd, w_star: Hours) {
+        self.expected_cost += p * cost;
+        self.expected_spot_cost += p * cost;
+        self.expected_time += p * w_star;
+    }
+
+    /// Accumulate the all-fail pattern (on-demand recovery) and set
+    /// `p_all_fail`. `all_fail` yields `(E[max wall], E[min ratio])` and
+    /// runs only when the pattern has mass.
+    fn add_all_fail(
+        mut self,
+        groups: &[&GroupAssessment],
+        od: &OnDemandOption,
+        all_fail: impl FnOnce() -> (Hours, f64),
+    ) -> Self {
+        let p0: f64 = groups.iter().map(|g| g.prob_fail()).product();
+        if p0 > 0.0 {
+            let spot: f64 = groups
+                .iter()
+                .map(|g| g.hourly_cost() * g.expected_billed())
+                .sum();
+            let (e_max_wall, e_min_ratio) = all_fail();
+            let od_hours = od.exec_hours * e_min_ratio + od.recovery_hours;
+            // On-demand is billed in whole started instance-hours.
+            let od_cost = od_hours.ceil() * od.unit_price * od.instances as f64;
+            self.expected_cost += p0 * (spot + od_cost);
+            self.expected_spot_cost += p0 * spot;
+            self.expected_od_cost += p0 * od_cost;
+            self.expected_time += p0 * (e_max_wall + od_hours);
+        }
+        self.p_all_fail = p0;
+        self
     }
 }
 
@@ -923,24 +836,6 @@ mod tests {
     use ec2_market::instance::InstanceTypeId;
     use ec2_market::market::CircleGroupId;
     use ec2_market::zone::AvailabilityZone;
-
-    #[test]
-    fn auto_kernel_crosses_over_at_the_soa_threshold() {
-        for k in 0..KernelMode::AUTO_SOA_MIN_GROUPS {
-            assert_eq!(KernelMode::auto_for(k), KernelMode::CapsMemo, "k={k}");
-        }
-        for k in KernelMode::AUTO_SOA_MIN_GROUPS..KernelMode::AUTO_SOA_MIN_GROUPS + 8 {
-            assert_eq!(KernelMode::auto_for(k), KernelMode::CapsSoa, "k={k}");
-        }
-    }
-
-    #[test]
-    fn set_mode_repins_a_scratch_between_evaluations() {
-        let mut scratch = EvalScratch::with_mode(KernelMode::Scalar);
-        assert_eq!(scratch.mode(), KernelMode::Scalar);
-        scratch.set_mode(KernelMode::CapsMemo);
-        assert_eq!(scratch.mode(), KernelMode::CapsMemo);
-    }
 
     fn group(t: Hours) -> CircleGroup {
         CircleGroup {
@@ -1298,11 +1193,11 @@ mod tests {
     }
 
     #[test]
-    fn kernel_modes_are_bit_identical() {
-        // The caps memo and the SoA packing must reproduce the scalar
-        // kernel bit-for-bit on candidates mixing certain survivors,
-        // certain failures, launch delays, and duplicated walls (equal
-        // completion walls exercise the w*-index tie).
+    fn memo_kernel_matches_reference_bitwise() {
+        // The caps memo and the prefix-sum sweep must reproduce the
+        // reference loop bit-for-bit on candidates mixing certain
+        // survivors, certain failures, launch delays, and duplicated
+        // walls (equal completion walls exercise the w*-index tie).
         let mut delayed = assessment(2.0, 0.5, 0.15, 1.0);
         delayed.launch_delay = 0.75;
         let pool = [
@@ -1315,11 +1210,8 @@ mod tests {
             delayed,
         ];
         let odo = od();
-        let mut scalar = EvalScratch::with_mode(KernelMode::Scalar);
-        let mut memo = EvalScratch::with_mode(KernelMode::CapsMemo);
-        let mut soa = EvalScratch::with_mode(KernelMode::CapsSoa);
-        assert_eq!(EvalScratch::new().mode(), KernelMode::CapsSoa);
-        // Every subset of the pool up to k = 5, reusing the scratches.
+        let mut scratch = EvalScratch::new();
+        // Every subset of the pool up to k = 5, reusing one scratch.
         for mask in 1u32..(1 << pool.len()) {
             if mask.count_ones() > 5 {
                 continue;
@@ -1330,14 +1222,16 @@ mod tests {
                 .filter(|(i, _)| mask & (1 << i) != 0)
                 .map(|(_, a)| a)
                 .collect();
-            let base = evaluate_with_scratch(&refs, &odo, &mut scalar);
-            let label = format!("subset {mask:#b}");
             assert_bits_eq(
-                &base,
-                &evaluate_with_scratch(&refs, &odo, &mut memo),
-                &label,
+                &evaluate_reference(&refs, &odo),
+                &evaluate_with_scratch(&refs, &odo, &mut scratch),
+                &format!("subset {mask:#b}"),
             );
-            assert_bits_eq(&base, &evaluate_with_scratch(&refs, &odo, &mut soa), &label);
         }
+        assert_bits_eq(
+            &evaluate_reference(&[], &odo),
+            &evaluate(&[], &odo),
+            "empty",
+        );
     }
 }

@@ -65,7 +65,7 @@ pub use adaptive::{
     AdaptiveConfig, AdaptiveConfigBuilder, AdaptivePlanner, PlanCache, PlanContext, PlannedWindow,
     ViewFingerprint, WindowDecision,
 };
-pub use cost::{evaluate, EvalScratch, Evaluation, GroupAssessment, KernelMode};
+pub use cost::{evaluate, EvalScratch, Evaluation, GroupAssessment};
 pub use error::SompiError;
 pub use logsearch::BidGrid;
 pub use model::{CircleGroup, GroupDecision, OnDemandOption, Plan};

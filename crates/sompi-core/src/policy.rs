@@ -24,8 +24,7 @@
 //! | [`DeadlineHedge`] | Teylo et al. | full optimizer against a tightened deadline |
 //!
 //! The evaluation baselines (`On-demand`, `Marathe`, `Spot-Inf`, …) live
-//! in [`crate::baselines`] and implement the same trait; `Strategy` is a
-//! thin re-export of [`Policy`] kept for source compatibility. See
+//! in [`crate::baselines`] and implement the same trait. See
 //! `docs/POLICIES.md` for the trait contract and how to add a policy.
 
 use crate::adaptive::PlanContext;

@@ -53,7 +53,6 @@
 use crate::adaptive::PlanContext;
 use crate::cost::{
     assessment_horizon, evaluate, evaluate_with_scratch, EvalScratch, Evaluation, GroupAssessment,
-    KernelMode,
 };
 use crate::error::SompiError;
 use crate::logsearch::BidGrid;
@@ -94,7 +93,6 @@ pub enum GridKind {
 /// assert!(cfg.prune_dominance);    // exact pruning is on by default
 /// assert!(cfg.prune_bound);
 /// assert!(cfg.shared_incumbent);
-/// assert!(cfg.kernel_caps);        // memoized kernel is on by default
 ///
 /// // Struct-update syntax is the idiomatic way to tweak one knob:
 /// let quick = OptimizerConfig { kappa: 2, bid_levels: 3, ..cfg };
@@ -154,12 +152,6 @@ pub struct OptimizerConfig {
     /// the result identical at any thread count.
     #[serde(default = "default_true")]
     pub shared_incumbent: bool,
-    /// Run the memoized caps-table + SoA evaluation kernel
-    /// ([`KernelMode::CapsSoa`], DESIGN.md §14). Bit-identical to the
-    /// scalar kernel — the memo reuses the scalar summation order — so
-    /// `false` (the `--no-kernel-caps` ablation) only changes speed.
-    #[serde(default = "default_true")]
-    pub kernel_caps: bool,
 }
 
 fn default_true() -> bool {
@@ -257,12 +249,6 @@ impl OptimizerConfigBuilder {
         self
     }
 
-    /// Toggle the memoized caps-table + SoA evaluation kernel.
-    pub fn kernel_caps(mut self, on: bool) -> Self {
-        self.config.kernel_caps = on;
-        self
-    }
-
     /// Finish building.
     pub fn build(self) -> OptimizerConfig {
         self.config
@@ -283,7 +269,6 @@ impl Default for OptimizerConfig {
             prune_dominance: true,
             prune_bound: true,
             shared_incumbent: true,
-            kernel_caps: true,
         }
     }
 }
@@ -456,7 +441,8 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// exactly as fast and allocation-free as before instrumentation
     /// existed (asserted by `tests/alloc_guard.rs` and the `opt_speed`
     /// bench). Errors when a candidate group is unknown to the market
-    /// view.
+    /// view, or with [`SompiError::InvalidConfig`] when the slack lies
+    /// outside `[0, 1)`.
     pub fn optimize(&self) -> Result<OptimizedPlan, SompiError> {
         self.optimize_with(&mut PlanContext::new())
     }
@@ -494,6 +480,11 @@ impl<'a> TwoLevelOptimizer<'a> {
         let recorder = ctx.recorder;
         let mut warm = ctx.warm.as_deref_mut();
         let pool = ctx.pool;
+        if !(0.0..1.0).contains(&self.config.slack) {
+            return Err(SompiError::InvalidConfig {
+                message: format!("slack must be in [0, 1), got {}", self.config.slack),
+            });
+        }
         let od = select_on_demand(
             &self.problem.on_demand,
             self.problem.deadline,
@@ -1101,12 +1092,7 @@ impl<'a> TwoLevelOptimizer<'a> {
         let mut best: Option<Candidate> = None;
         let mut refs: Vec<&GroupAssessment> = Vec::new();
         let mut idx: Vec<usize> = Vec::new();
-        let mut scratch = EvalScratch::with_mode(if self.config.kernel_caps {
-            KernelMode::CapsSoa
-        } else {
-            KernelMode::Scalar
-        });
-        let auto_kernel = self.config.kernel_caps;
+        let mut scratch = EvalScratch::new();
         // Branch-and-bound scratch, reused across subsets: per-slot
         // `(lower bound, original option index)` pairs rank-sorted
         // ascending, slot cardinalities, mixed-radix step weights, and
@@ -1127,13 +1113,6 @@ impl<'a> TwoLevelOptimizer<'a> {
                 continue;
             }
             subsets_walked += 1;
-            if auto_kernel {
-                // Pick the faster memoized kernel for this subset size
-                // (CapsMemo below the SoA crossover, CapsSoa at or above
-                // — BENCH_kernel.json, DESIGN.md §14). Bit-identical
-                // results either way; `--no-kernel-caps` pins Scalar.
-                scratch.set_mode(KernelMode::auto_for(chosen.len()));
-            }
             let product: u64 = chosen
                 .iter()
                 .map(|&g| options[g].len() as u64)
@@ -1579,6 +1558,24 @@ mod tests {
             opt.evaluation.expected_cost,
             od_cost
         );
+    }
+
+    #[test]
+    fn out_of_domain_slack_is_invalid_config() {
+        let (_, problem, view) = setup();
+        for slack in [1.0, 1.5, -0.1, f64::NAN] {
+            let cfg = OptimizerConfig {
+                slack,
+                ..small_config()
+            };
+            let err = TwoLevelOptimizer::new(&problem, &view, cfg)
+                .optimize()
+                .unwrap_err();
+            assert!(
+                matches!(err, SompiError::InvalidConfig { .. }),
+                "slack {slack}: {err}"
+            );
+        }
     }
 
     #[test]

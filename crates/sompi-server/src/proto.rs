@@ -169,17 +169,6 @@ pub struct PlanRequest {
     /// Search worker threads (0 = sequential).
     #[serde(default)]
     pub threads: u32,
-    /// Exactness-preserving pruning ablation switches.
-    #[serde(default = "d_true")]
-    pub prune_dominance: bool,
-    #[serde(default = "d_true")]
-    pub prune_bound: bool,
-    #[serde(default = "d_true")]
-    pub shared_incumbent: bool,
-    /// Caps-memoized SoA evaluation kernel (exactness-preserving;
-    /// `false` is the `--no-kernel-caps` ablation).
-    #[serde(default = "d_true")]
-    pub kernel_caps: bool,
     /// Hours of price history visible to the planner.
     #[serde(default = "d_history")]
     pub history_hours: f64,
@@ -202,10 +191,6 @@ impl Default for PlanRequest {
             bid_levels: d_levels(),
             slack: d_slack(),
             threads: 0,
-            prune_dominance: true,
-            prune_bound: true,
-            shared_incumbent: true,
-            kernel_caps: true,
             history_hours: d_history(),
             view_start_hours: 0.0,
         }
@@ -386,6 +371,35 @@ mod tests {
         assert_eq!(p.app, "BT");
         assert_eq!(p.kappa, 4);
         assert!((p.deadline_factor - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn retired_v1_ablation_keys_are_ignored() {
+        // v1 clients may still send the planner switches this build
+        // dropped; they parse, are ignored, and plan bit-identically.
+        let plain = r#"{"Plan": {"repeats": 50, "kappa": 1, "bid_levels": 2}}"#;
+        let legacy = r#"{"Plan": {"repeats": 50, "kappa": 1, "bid_levels": 2,
+            "prune_dominance": false, "prune_bound": false,
+            "shared_incumbent": false, "kernel_caps": false}}"#;
+        let (Request::Plan(plain), Request::Plan(legacy)) = (
+            serde_json::from_str::<Request>(plain).unwrap(),
+            serde_json::from_str::<Request>(legacy).unwrap(),
+        ) else {
+            panic!("expected Plan requests")
+        };
+        assert_eq!(plain, legacy);
+
+        let catalog = ec2_market::instance::InstanceCatalog::paper_2014();
+        let profile = ec2_market::tracegen::MarketProfile::paper_2014(&catalog);
+        let generator = ec2_market::tracegen::TraceGenerator::new(profile, 42);
+        let market =
+            ec2_market::market::SpotMarket::generate(catalog, &generator, 100.0, 1.0 / 12.0);
+        let plan = |req: &PlanRequest| {
+            crate::service::plan(&market, req, &sompi_obs::NullRecorder, None).unwrap()
+        };
+        let (a, b) = (plan(&plain), plan(&legacy));
+        assert_eq!(a, b);
+        assert_eq!(a.expected_cost.to_bits(), b.expected_cost.to_bits());
     }
 
     #[test]

@@ -100,6 +100,47 @@ pub fn app_profile(
     Ok(kernel.profile(class, procs).repeated(repeats.max(1)))
 }
 
+/// Reject planning fields outside their domain — the one check both the
+/// CLI and the server workers go through before any search starts:
+/// `slack` in `[0, 1)`, `deadline_factor` and `history_hours` finite and
+/// positive, `view_start_hours` finite and non-negative. NaN fails every
+/// check.
+pub(crate) fn validate_plan_request(req: &PlanRequest) -> Result<(), ServiceError> {
+    let checks = [
+        (
+            (0.0..1.0).contains(&req.slack),
+            "slack must be in [0, 1)",
+            req.slack,
+        ),
+        (
+            req.deadline_factor.is_finite() && req.deadline_factor > 0.0,
+            "deadline factor must be finite and positive",
+            req.deadline_factor,
+        ),
+        (
+            req.history_hours.is_finite() && req.history_hours > 0.0,
+            "history hours must be finite and positive",
+            req.history_hours,
+        ),
+        (
+            req.view_start_hours.is_finite() && req.view_start_hours >= 0.0,
+            "view start hours must be finite and non-negative",
+            req.view_start_hours,
+        ),
+    ];
+    match checks.into_iter().find(|(ok, _, _)| !ok) {
+        Some((_, what, got)) => Err(ServiceError::InvalidArgument(format!("{what}, got {got}"))),
+        None => Ok(()),
+    }
+}
+
+/// Validate `req` ([`validate_plan_request`]) and build its problem.
+fn problem_for(market: &SpotMarket, req: &PlanRequest) -> Result<Problem, ServiceError> {
+    validate_plan_request(req)?;
+    let app = app_profile(&req.app, &req.class, req.procs, req.repeats)?;
+    build_problem(market, &app, req.deadline_factor)
+}
+
 /// Build the problem: market + app + deadline factor (a multiple of
 /// Baseline Time).
 pub fn build_problem(
@@ -124,10 +165,6 @@ pub fn optimizer_config(req: &PlanRequest) -> OptimizerConfig {
         bid_levels: req.bid_levels,
         slack: req.slack,
         threads: req.threads as usize,
-        prune_dominance: req.prune_dominance,
-        prune_bound: req.prune_bound,
-        shared_incumbent: req.shared_incumbent,
-        kernel_caps: req.kernel_caps,
         ..Default::default()
     }
 }
@@ -206,8 +243,7 @@ pub fn plan(
     recorder: &dyn Recorder,
     pool: Option<&SearchPool>,
 ) -> Result<PlanReport, ServiceError> {
-    let app = app_profile(&req.app, &req.class, req.procs, req.repeats)?;
-    let problem = build_problem(market, &app, req.deadline_factor)?;
+    let problem = problem_for(market, req)?;
     let view = view_for(market, req);
     let strategy = strategy_from(&req.strategy, optimizer_config(req))?;
     let mut ctx = PlanContext::new().with_recorder(recorder);
@@ -310,8 +346,7 @@ pub fn replay(
     recorder: &dyn Recorder,
 ) -> Result<ReplayReport, ServiceError> {
     let p = &req.plan;
-    let app = app_profile(&p.app, &p.class, p.procs, p.repeats)?;
-    let problem = build_problem(market, &app, p.deadline_factor)?;
+    let problem = problem_for(market, p)?;
     let injector = injector_from(market, req)?;
     // The batched scenario-major executor only accelerates fixed-plan
     // replays: `MonteCarlo::run_plan` checks the mode. The adaptive
@@ -416,8 +451,7 @@ pub fn traced_replay(
     recorder: &dyn Recorder,
 ) -> Result<(), ServiceError> {
     let p = &req.plan;
-    let app = app_profile(&p.app, &p.class, p.procs, p.repeats)?;
-    let problem = build_problem(market, &app, p.deadline_factor)?;
+    let problem = problem_for(market, p)?;
     let injector = injector_from(market, req)?;
     let mut ctx = ExecContext::new();
     if let Some(inj) = &injector {
@@ -510,6 +544,52 @@ mod tests {
         };
         assert_eq!(err.kind(), errkind::INVALID_ARGUMENT);
         assert!(err.to_string().contains("unknown strategy"));
+    }
+
+    /// `plan` must answer every request built by `bad` from the values
+    /// `vals` with a typed `InvalidArgument` naming `field`.
+    fn assert_rejected(field: &str, vals: &[f64], bad: impl Fn(f64) -> PlanRequest) {
+        let market = market(100.0);
+        for &v in vals {
+            let err = plan(&market, &bad(v), &NullRecorder, None).unwrap_err();
+            assert_eq!(err.kind(), errkind::INVALID_ARGUMENT, "{field} {v}: {err}");
+            assert!(err.to_string().contains(field), "{field} {v}: {err}");
+        }
+    }
+
+    #[test]
+    fn out_of_domain_slack_is_invalid_argument() {
+        assert_rejected("slack", &[1.0, 1.5, -0.1, f64::NAN], |slack| PlanRequest {
+            slack,
+            ..small_request()
+        });
+    }
+
+    #[test]
+    fn out_of_domain_deadline_factor_is_invalid_argument() {
+        let vals = [0.0, -1.0, f64::NAN, f64::INFINITY];
+        assert_rejected("deadline factor", &vals, |deadline_factor| PlanRequest {
+            deadline_factor,
+            ..small_request()
+        });
+    }
+
+    #[test]
+    fn out_of_domain_history_hours_is_invalid_argument() {
+        let vals = [0.0, -5.0, f64::NAN, f64::INFINITY];
+        assert_rejected("history hours", &vals, |history_hours| PlanRequest {
+            history_hours,
+            ..small_request()
+        });
+    }
+
+    #[test]
+    fn out_of_domain_view_start_is_invalid_argument() {
+        let vals = [-1.0, f64::NAN, f64::INFINITY];
+        assert_rejected("view start hours", &vals, |view_start_hours| PlanRequest {
+            view_start_hours,
+            ..small_request()
+        });
     }
 
     #[test]

@@ -19,7 +19,8 @@
 
 use crate::proto::PlanRequest;
 use crate::service::{
-    app_profile, build_problem, optimizer_config, strategy_from, view_for, ServiceError,
+    app_profile, build_problem, optimizer_config, strategy_from, validate_plan_request, view_for,
+    ServiceError,
 };
 use ec2_market::fault::{FaultInjector, FaultPlan, RetryPolicy};
 use ec2_market::instance::InstanceCatalog;
@@ -275,6 +276,7 @@ pub fn run_tournament(
             "tournament needs at least one fault case (use `none`)".into(),
         ));
     }
+    validate_plan_request(&cfg.plan)?;
     // Resolve the whole roster up front so an unknown name fails before
     // any search runs.
     let roster: Vec<_> = cfg

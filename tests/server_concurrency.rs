@@ -288,6 +288,39 @@ fn invalid_arguments_come_back_as_typed_errors() {
 }
 
 #[test]
+fn out_of_domain_slack_is_a_typed_error_and_the_worker_survives() {
+    // Slack 1.5 used to reach an assert on the only worker thread; the
+    // request must come back as a typed error and the same worker must
+    // still serve the good request sent after it.
+    let (addr, _, handle, join) = start(Arc::new(NullRecorder), ephemeral(1));
+    let bad = PlanRequest {
+        slack: 1.5,
+        ..small_plan_request()
+    };
+    let bad_resp = client::call(&addr, &Request::Plan(bad)).expect("bad call");
+    let good_resp = client::call(&addr, &Request::Plan(small_plan_request())).expect("good call");
+    handle.stop();
+    join.join().expect("server thread");
+
+    let Response::Error { kind, message, .. } = bad_resp else {
+        panic!("expected a typed error, got {bad_resp:?}");
+    };
+    assert_eq!(kind, "invalid-argument");
+    assert!(message.contains("slack"), "{message}");
+    let Response::Plan { report, .. } = good_resp else {
+        panic!("expected a plan after the bad request, got {good_resp:?}");
+    };
+    let direct = service::plan(
+        &market(42, 100.0),
+        &small_plan_request(),
+        &NullRecorder,
+        None,
+    )
+    .expect("in-process plan");
+    assert_eq!(report, direct);
+}
+
+#[test]
 fn overload_sheds_with_typed_responses_and_still_drains() {
     // One slow worker (300 ms per request), a one-slot queue, no
     // batching: a burst of 6 must shed most connections with typed
