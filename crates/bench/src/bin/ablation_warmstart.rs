@@ -2,7 +2,7 @@
 //! many-window adaptive study on the drifting stress market (DESIGN.md
 //! §12).
 //!
-//! Two studies, four configurations each:
+//! Two studies, two configurations each:
 //!
 //! * **windows** — a sliding 48 h view stepped every 2 h across the
 //!   non-stationary stress market (the adaptive loop's steady state,
@@ -11,19 +11,17 @@
 //!   failure-triggered replans inside one window do); this is where the
 //!   bucket-table layer pays, since the history digest is unchanged.
 //!
-//! The configurations ablate the warm-start layers independently:
+//! The configurations:
 //!
-//! 1. `cold`    — no carried state (every search from scratch),
-//! 2. `+tables` — per-`(group, bid)` bucket tables reused across searches,
-//! 3. `+seed`   — previous plan seeds the incumbent bound and the
-//!    hot-first subset order,
-//! 4. `warm`    — both layers (the adaptive loop's default).
+//! 1. `cold` — no carried state (every search from scratch),
+//! 2. `warm` — per-`(group, bid)` bucket tables reused across searches
+//!    (the adaptive loop's default).
 //!
-//! Every configuration must select a plan bit-identical to the cold
-//! reference in **every** window — the layers are exactness-preserving,
-//! only re-plan wall-clock may change. The per-search warm telemetry
-//! (seeded incumbents, table reuse counters) is read back from the
-//! optimizer's own `WarmStartApplied` trace events.
+//! The warm configuration must select a plan bit-identical to the cold
+//! reference in **every** window — table reuse is exactness-preserving,
+//! only re-plan wall-clock may change. The per-search table reuse
+//! counters are read back from the optimizer's own `WarmStartApplied`
+//! trace events.
 //!
 //! `--smoke` shrinks the study (fewer windows, smaller search) for a fast
 //! CI sanity check of the same identity assertions. The full run writes
@@ -46,12 +44,7 @@ const WINDOW_STEP_HOURS: f64 = 2.0;
 
 /// The warm-start ablation ladder, cold first.
 fn ladder() -> Vec<(&'static str, Option<WarmStart>)> {
-    vec![
-        ("cold", None),
-        ("+tables", Some(WarmStart::new().with_plan_carryover(false))),
-        ("+seed", Some(WarmStart::new().with_table_reuse(false))),
-        ("warm", Some(WarmStart::new())),
-    ]
+    vec![("cold", None), ("warm", Some(WarmStart::new()))]
 }
 
 /// One arm's measurements over a window sequence.
@@ -59,8 +52,6 @@ struct ArmResult {
     name: &'static str,
     /// Wall-clock of every re-plan, in window order.
     window_secs: Vec<f64>,
-    /// Windows whose search started from a projected incumbent seed.
-    seeded: u64,
     /// Bucket-table entries served from / missing the warm cache.
     tables_reused: u64,
     tables_rebuilt: u64,
@@ -93,7 +84,6 @@ fn run_arm(
     let mut out = ArmResult {
         name,
         window_secs: Vec::with_capacity(views.len()),
-        seeded: 0,
         tables_reused: 0,
         tables_rebuilt: 0,
         plans: Vec::with_capacity(views.len()),
@@ -111,13 +101,10 @@ fn run_arm(
         out.window_secs.push(started.elapsed().as_secs_f64());
         for ev in r.take() {
             if let Event::WarmStartApplied {
-                seeded,
                 tables_reused,
                 tables_rebuilt,
-                ..
             } = ev
             {
-                out.seeded += seeded as u64;
                 out.tables_reused += tables_reused;
                 out.tables_rebuilt += tables_rebuilt;
             }
@@ -127,7 +114,7 @@ fn run_arm(
     out
 }
 
-/// Run all four arms over `views`, assert per-window bit-identity against
+/// Run both arms over `views`, assert per-window bit-identity against
 /// the cold reference, print the table, and return the arm results.
 fn run_study(
     label: &str,
@@ -141,7 +128,6 @@ fn run_study(
         "total (s)",
         "steady/window (s)",
         "speedup",
-        "seeded",
         "tbl reused",
         "tbl rebuilt",
         "identical",
@@ -159,7 +145,6 @@ fn run_study(
             format!("{:.3}", arm.total_secs()),
             format!("{:.4}", arm.steady_secs()),
             format!("{:.2}x", cold_steady / arm.steady_secs()),
-            format!("{}/{}", arm.seeded, views.len()),
             format!("{}", arm.tables_reused),
             format!("{}", arm.tables_rebuilt),
             if identical { "yes".into() } else { "NO".into() },
@@ -180,8 +165,8 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let windows = if smoke { 8 } else { 50 };
     // Search-dominated configuration: the Theorem 1 interval-grid
-    // ablation multiplies per-candidate work so the odometer walk (what
-    // the seed bound prunes) dominates fixed setup, as in the heavy
+    // ablation multiplies per-candidate work so the odometer walk
+    // dominates fixed setup, as in the heavy
     // `ablation_prune` study. Smoke keeps the search small.
     let cfg = if smoke {
         OptimizerConfig {
@@ -206,8 +191,8 @@ fn main() {
     println!();
 
     // The drifting stress market: base price levels re-roll every ~50 h,
-    // so consecutive windows see genuinely different markets — the warm
-    // seed must stay exact under drift, not just under repetition.
+    // so consecutive windows see genuinely different markets — table
+    // reuse must stay exact under drift, not just under repetition.
     let horizon = HISTORY_HOURS + 2.0 + windows as f64 * WINDOW_STEP_HOURS;
     let market = stress_market(20140815, horizon + 10.0);
     let profile = npb_workload(NpbKernel::Bt);
@@ -242,12 +227,12 @@ fn main() {
         cfg,
     );
 
-    println!("(Every row must match the cold reference bit-identically: the");
-    println!(" incumbent seed, hot-first order, and bucket-table reuse are");
-    println!(" exactness-preserving; only re-plan wall-clock changes.)");
+    println!("(Every row must match the cold reference bit-identically:");
+    println!(" bucket-table reuse is exactness-preserving; only re-plan");
+    println!(" wall-clock changes.)");
 
     if !smoke {
-        let warm = &window_arms[3];
+        let warm = &window_arms[1];
         let cold = &window_arms[0];
         let arm_doc = |a: &ArmResult, reference: f64| {
             serde_json::json!({
@@ -255,7 +240,6 @@ fn main() {
                 "total_secs": a.total_secs(),
                 "steady_per_window_secs": a.steady_secs(),
                 "speedup": reference / a.steady_secs(),
-                "seeded_windows": a.seeded,
                 "tables_reused": a.tables_reused,
                 "tables_rebuilt": a.tables_rebuilt,
             })

@@ -45,8 +45,22 @@ pub fn market_from(args: &Args) -> Result<SpotMarket, CliError> {
     Ok(market)
 }
 
+/// Read a market-size flag in hours. Values that are not finite and
+/// positive are errors: the trace generator and the feed resampler need
+/// a real, non-empty grid.
+fn positive_hours(args: &Args, flag: &str, default: f64) -> Result<f64, CliError> {
+    let v = args.f64_or(flag, default)?;
+    if v.is_finite() && v > 0.0 {
+        Ok(v)
+    } else {
+        Err(CliError::Other(format!(
+            "--{flag}: must be finite and positive, got {v}"
+        )))
+    }
+}
+
 fn market_from_inner(args: &Args) -> Result<SpotMarket, CliError> {
-    let step = args.f64_or("step", 1.0 / 12.0)?;
+    let step = positive_hours(args, "step", 1.0 / 12.0)?;
     if let Some(path) = args.get("feed") {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::Other(format!("cannot read {path}: {e}")))?;
@@ -69,7 +83,7 @@ fn market_from_inner(args: &Args) -> Result<SpotMarket, CliError> {
         Ok(market)
     } else {
         let seed = args.u64_or("seed", 42)?;
-        let hours = args.f64_or("hours", 336.0)?;
+        let hours = positive_hours(args, "hours", 336.0)?;
         let catalog = InstanceCatalog::paper_2014();
         let profile = MarketProfile::paper_2014(&catalog);
         Ok(SpotMarket::generate(
@@ -130,6 +144,17 @@ mod tests {
         .unwrap();
         let m = market_from(&args(&["--feed", path.to_str().unwrap()])).unwrap();
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn feed_resample_step_is_validated() {
+        let dir = std::env::temp_dir().join("sompi-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("feed-step.txt");
+        std::fs::write(&path, "0 m1.small us-east-1a 0.01\n").unwrap();
+        let err =
+            market_from(&args(&["--feed", path.to_str().unwrap(), "--step", "0"])).unwrap_err();
+        assert!(err.to_string().starts_with("--step"), "{err}");
     }
 
     #[test]

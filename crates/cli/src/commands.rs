@@ -82,7 +82,7 @@ pub(crate) fn replay_request_from(
         mc_seed: args.u64_or("mc-seed", 1)?,
         adaptive: args.flag("adaptive"),
         window_hours: args.f64_or("window", 15.0)?,
-        warmstart: !args.flag("no-warmstart"),
+        warmstart: true,
         bucket_reuse: !args.flag("no-bucket-reuse"),
         faults: args.get("faults").map(str::to_string),
         fault_seed: args.u64_or("fault-seed", 42)?,
@@ -191,9 +191,9 @@ pub fn cmd_plan(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `sompi replay` — plan, then Monte-Carlo replay over the market.
 /// `--adaptive` switches to the windowed Algorithm-1 runner;
-/// `--no-warmstart` / `--no-bucket-reuse` ablate its exactness-
-/// preserving warm-start layers (plans and replayed outcomes are
-/// bit-identical either way, only re-plan wall-clock changes).
+/// `--no-bucket-reuse` ablates its exactness-preserving bucket-table
+/// reuse (plans and replayed outcomes are bit-identical either way, only
+/// re-plan wall-clock changes).
 pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut flags = PLAN_FLAGS.to_vec();
     flags.extend([
@@ -204,14 +204,13 @@ pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "fault-seed",
         "adaptive",
         "window",
-        "no-warmstart",
         "no-bucket-reuse",
         "no-batch-replay",
     ]);
     args.check_known(&flags)?;
-    if !args.flag("adaptive") && (args.flag("no-warmstart") || args.flag("no-bucket-reuse")) {
+    if !args.flag("adaptive") && args.flag("no-bucket-reuse") {
         return Err(CliError::Other(
-            "--no-warmstart/--no-bucket-reuse only apply to --adaptive replays".into(),
+            "--no-bucket-reuse only applies to --adaptive replays".into(),
         ));
     }
     let market = market_from(args)?;
@@ -243,10 +242,9 @@ pub fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if req.adaptive {
         writeln!(
             out,
-            "{} via adaptive sompi (T_m = {} h{}{}): {} replicas",
+            "{} via adaptive sompi (T_m = {} h{}): {} replicas",
             report.app,
             req.window_hours,
-            if req.warmstart { "" } else { ", no-warmstart" },
             if req.bucket_reuse {
                 ""
             } else {
@@ -619,8 +617,8 @@ mod tests {
 
     #[test]
     fn warmstart_ablation_flags_do_not_change_adaptive_results() {
-        // The warm-start layers are exactness-preserving: the full
-        // Monte-Carlo report must be bit-identical with them ablated.
+        // Bucket-table reuse is exactness-preserving: the full
+        // Monte-Carlo report must be bit-identical with it ablated.
         let base = [
             "--adaptive",
             "--hours",
@@ -639,22 +637,78 @@ mod tests {
         ];
         let warm = run(cmd_replay, &base);
         let mut flags = base.to_vec();
-        flags.extend(["--no-warmstart", "--no-bucket-reuse"]);
+        flags.push("--no-bucket-reuse");
         let cold = run(cmd_replay, &flags);
         let wdoc: serde_json::Value = serde_json::from_str(&warm).unwrap();
         let cdoc: serde_json::Value = serde_json::from_str(&cold).unwrap();
         assert_eq!(wdoc["cost"], cdoc["cost"]);
         assert_eq!(wdoc["time"], cdoc["time"]);
         assert_eq!(wdoc["mean_windows"], cdoc["mean_windows"]);
-        assert_eq!(wdoc["warmstart"], serde_json::json!(true));
-        assert_eq!(cdoc["warmstart"], serde_json::json!(false));
+        assert_eq!(wdoc["bucket_reuse"], serde_json::json!(true));
+        assert_eq!(cdoc["bucket_reuse"], serde_json::json!(false));
+        // The retired `warmstart` key is still echoed, always true.
+        assert_eq!(cdoc["warmstart"], serde_json::json!(true));
     }
 
     #[test]
     fn warmstart_flags_require_adaptive_mode() {
         let mut buf = Vec::new();
-        let err = cmd_replay(&args(&["--hours", "100", "--no-warmstart"]), &mut buf).unwrap_err();
+        let err =
+            cmd_replay(&args(&["--hours", "100", "--no-bucket-reuse"]), &mut buf).unwrap_err();
         assert!(err.to_string().contains("--adaptive"), "{err}");
+        // The plan carry-over switch is gone with the layer it switched.
+        let err = cmd_replay(&args(&["--adaptive", "--no-warmstart"]), &mut buf).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown flag --no-warmstart"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn non_positive_or_nan_adaptive_window_is_rejected() {
+        for bad in ["0", "-2", "NaN"] {
+            let mut buf = Vec::new();
+            let a = [
+                "--adaptive",
+                "--hours",
+                "200",
+                "--repeats",
+                "50",
+                "--replicas",
+                "2",
+                "--window",
+                bad,
+            ];
+            let err = cmd_replay(&args(&a), &mut buf).unwrap_err();
+            assert!(err.to_string().contains("window hours"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn bad_market_size_is_rejected_by_every_command() {
+        type Cmd = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
+        let commands: [(&str, Cmd); 4] = [
+            ("plan", cmd_plan),
+            ("replay", cmd_replay),
+            ("sweep", cmd_sweep),
+            ("tournament", cmd_tournament),
+        ];
+        for (name, cmd) in commands {
+            for (flag, bad) in [
+                ("--hours", "0"),
+                ("--hours", "-5"),
+                ("--hours", "NaN"),
+                ("--step", "0"),
+                ("--step", "-1"),
+            ] {
+                let mut buf = Vec::new();
+                let err = cmd(&args(&["--repeats", "50", flag, bad]), &mut buf).unwrap_err();
+                assert!(
+                    err.to_string().contains("finite and positive"),
+                    "{name} {flag} {bad}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -56,9 +56,8 @@ COMMON FLAGS:
                                a single frozen plan (replay only)
     --window H                 adaptive re-optimization window T_m, hours
                                (default 15)
-    --no-warmstart / --no-bucket-reuse
-                               disable the adaptive re-optimizer's warm-start
-                               layers (ablation; plans and outcomes never
+    --no-bucket-reuse          disable the adaptive re-optimizer's bucket-table
+                               reuse (ablation; plans and outcomes never
                                change, only re-plan wall-clock)
     --seed N --hours H --step H         synthetic market shape
     --feed FILE                import AWS spot price history instead

@@ -114,7 +114,6 @@ pub fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "mc-seed",
         "adaptive",
         "window",
-        "no-warmstart",
         "no-bucket-reuse",
         "faults",
         "fault-seed",

@@ -123,6 +123,9 @@ impl<'a> AdaptiveRunner<'a> {
     /// one from the most recent un-gapped window) instead of fresh
     /// prices, emitting `FaultInjected`/`DegradedMode` — and the planner
     /// itself prefers the cached plan over re-searching a stale view.
+    ///
+    /// Errors with [`SompiError::InvalidConfig`] when `window_hours` is
+    /// not finite and positive: such a window never advances the clock.
     pub fn run(
         &self,
         problem: &Problem,
@@ -131,6 +134,14 @@ impl<'a> AdaptiveRunner<'a> {
     ) -> Result<AdaptiveOutcome, SompiError> {
         let recorder = ctx.recorder;
         let cfg = self.planner.config;
+        if !(cfg.window_hours.is_finite() && cfg.window_hours > 0.0) {
+            return Err(SompiError::InvalidConfig {
+                message: format!(
+                    "window hours must be finite and positive, got {}",
+                    cfg.window_hours
+                ),
+            });
+        }
         let default_policy = Sompi {
             config: cfg.optimizer,
         };
@@ -157,12 +168,10 @@ impl<'a> AdaptiveRunner<'a> {
         // rescales the cached plan instead.
         let mut cache = PlanCache::default();
         // Warm-start state threaded through every real re-optimization:
-        // the previous window's plan seeds the next search's incumbent
-        // bound (and hot-first subset order), and per-(group, bid) bucket
-        // tables are reused while a group's history digest is unchanged.
-        // Exactness-preserving, so replayed outcomes are bit-identical
-        // with it on or off; the config's `warmstart`/`bucket_reuse`
-        // toggles ablate the layers individually.
+        // per-(group, bid) bucket tables are reused while a group's
+        // history digest is unchanged. Exactness-preserving, so replayed
+        // outcomes are bit-identical with it on or off; the config's
+        // `bucket_reuse` toggle ablates it.
         let mut warm = WarmStart::new();
         // Coordinates (history start, length) of the last market view
         // built from a healthy feed — what a gapped window falls back to.
@@ -389,9 +398,8 @@ impl<'a> AdaptiveRunner<'a> {
                     // default reaction invalidates the cached plan (the
                     // realized market just diverged from what the
                     // fingerprint digested, even if the digest still
-                    // matches within tolerance) and drops the warm seed
-                    // while keeping the bucket tables (they digest the
-                    // view, not the plan).
+                    // matches within tolerance). The bucket tables stay:
+                    // they digest the view, not the plan.
                     if w.groups_failed > 0 {
                         let kill = policy.on_kill(&KillObservation {
                             window: windows,
@@ -400,9 +408,6 @@ impl<'a> AdaptiveRunner<'a> {
                         });
                         if kill.clear_plan_cache {
                             cache.clear();
-                        }
-                        if kill.drop_warm_plan {
-                            warm.invalidate_plan();
                         }
                     }
                     // The policy decides whether to re-plan; the default
@@ -546,14 +551,31 @@ mod tests {
     }
 
     #[test]
+    fn non_positive_or_nan_window_is_invalid_config() {
+        let (market, problem) = setup(41);
+        for window_hours in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let cfg = AdaptiveConfig {
+                window_hours,
+                ..config()
+            };
+            let err = AdaptiveRunner::new(&market, cfg)
+                .run(&problem, 60.0, &ExecContext::new())
+                .unwrap_err();
+            assert!(
+                matches!(err, SompiError::InvalidConfig { .. }),
+                "window {window_hours}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn warm_start_does_not_change_the_replayed_outcome() {
         // The runner threads warm-start state through every window; the
         // layers are exactness-preserving, so the full replayed outcome
         // (cost, wall hours, window count, plan changes) must be
-        // bit-identical to the runner with both layers ablated off.
+        // bit-identical to the runner with table reuse ablated off.
         let (market, problem) = setup(47);
         let mut cold_cfg = config();
-        cold_cfg.warmstart = false;
         cold_cfg.bucket_reuse = false;
         let warm_runner = AdaptiveRunner::new(&market, config());
         let cold_runner = AdaptiveRunner::new(&market, cold_cfg);

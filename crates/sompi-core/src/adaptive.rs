@@ -39,10 +39,9 @@ pub struct AdaptiveConfig {
     pub history_hours: Hours,
     /// The inner optimizer's configuration.
     pub optimizer: OptimizerConfig,
-    /// Carry the previous window's plan into the next search as an
-    /// incumbent seed and hot-first subset order (DESIGN.md §12). Both
-    /// layers are exactness-preserving; `false` is the `--no-warmstart`
-    /// ablation.
+    /// Ignored. It switched the previous-window plan carry-over, which is
+    /// gone (DESIGN.md §12); the field stays so existing configs and
+    /// callers keep compiling and loading.
     #[serde(default = "default_true")]
     pub warmstart: bool,
     /// Reuse per-`(group, bid)` failure-count tables across windows,
@@ -111,12 +110,6 @@ impl AdaptiveConfigBuilder {
         self
     }
 
-    /// Enable/disable the plan carry-over warm start (seed + hot order).
-    pub fn warmstart(mut self, on: bool) -> Self {
-        self.config.warmstart = on;
-        self
-    }
-
     /// Enable/disable cross-window bucket-table reuse.
     pub fn bucket_reuse(mut self, on: bool) -> Self {
         self.config.bucket_reuse = on;
@@ -145,12 +138,11 @@ pub struct PlanContext<'a> {
     /// the feed is gapped.
     pub faults: Option<&'a FaultInjector>,
     /// Warm-start state carried across windows; when present, each real
-    /// re-optimization seeds its branch-and-bound incumbent, enumerates
-    /// hot subsets first, and reuses bucket tables (all
-    /// exactness-preserving — see [`WarmStart`]). The
-    /// [`AdaptiveConfig::warmstart`]/[`AdaptiveConfig::bucket_reuse`]
-    /// toggles are re-applied to the state on every planning call, so
-    /// ablation flags win over however the state was constructed.
+    /// re-optimization reuses unchanged bucket tables
+    /// (exactness-preserving — see [`WarmStart`]). The
+    /// [`AdaptiveConfig::bucket_reuse`] toggle is re-applied to the state
+    /// on every planning call, so the ablation flag wins over however the
+    /// state was constructed.
     pub warm: Option<&'a mut WarmStart>,
     /// 0-based index of the window being planned (labels events and keys
     /// feed-gap injection).
@@ -451,15 +443,11 @@ impl AdaptivePlanner {
             )));
         }
 
-        // The config's ablation toggles are authoritative: re-apply them
-        // to the carried state so `--no-warmstart`/`--no-bucket-reuse`
-        // bite even when the caller handed over a default WarmStart.
+        // The config's ablation toggle is authoritative: re-apply it to
+        // the carried state so `--no-bucket-reuse` bites even when the
+        // caller handed over a default WarmStart.
         let mut warm = warm;
         if let Some(w) = warm.as_deref_mut() {
-            w.use_plan = self.config.warmstart;
-            if !w.use_plan {
-                w.prev = None;
-            }
             w.use_tables = self.config.bucket_reuse;
             if !w.use_tables {
                 w.tables.clear();
@@ -1003,12 +991,9 @@ mod tests {
         assert_eq!(cfg.window_hours, 5.0);
         assert_eq!(cfg.history_hours, AdaptiveConfig::default().history_hours);
         assert_eq!(cfg.optimizer.kappa, 3);
-        assert!(cfg.warmstart && cfg.bucket_reuse, "warm layers default on");
-        let cfg = AdaptiveConfig::builder()
-            .warmstart(false)
-            .bucket_reuse(false)
-            .build();
-        assert!(!cfg.warmstart && !cfg.bucket_reuse);
+        assert!(cfg.bucket_reuse, "table reuse defaults on");
+        let cfg = AdaptiveConfig::builder().bucket_reuse(false).build();
+        assert!(!cfg.bucket_reuse);
     }
 
     #[test]
@@ -1091,18 +1076,16 @@ mod tests {
                 "window {window}: warm context changed the decision"
             );
         }
-        assert!(warm.has_plan(), "warm state should carry the last plan");
         assert!(warm.cached_groups() > 0, "bucket tables should be cached");
     }
 
     #[test]
     fn config_toggles_override_the_carried_state() {
-        // `--no-warmstart` / `--no-bucket-reuse` must win even when the
-        // caller supplies a fully enabled WarmStart.
+        // `--no-bucket-reuse` must win even when the caller supplies a
+        // fully enabled WarmStart.
         let (market, problem) = setup();
         let view = MarketView::from_market(&market, 0.0, 48.0);
         let mut cfg = planner().config;
-        cfg.warmstart = false;
         cfg.bucket_reuse = false;
         let p = AdaptivePlanner::new(cfg);
         let mut warm = WarmStart::new();
@@ -1116,11 +1099,7 @@ mod tests {
             )
             .unwrap();
         assert!(matches!(planned.decision, WindowDecision::Hybrid(_)));
-        assert!(!warm.plan_carryover() && !warm.table_reuse());
-        assert!(
-            !warm.has_plan(),
-            "disabled carry-over must not store a plan"
-        );
+        assert!(!warm.table_reuse());
         assert_eq!(warm.cached_groups(), 0, "disabled reuse must not cache");
     }
 }

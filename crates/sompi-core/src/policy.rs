@@ -84,9 +84,6 @@ pub struct KillReaction {
     /// Drop the fingerprint plan cache: the realized market just diverged
     /// from what the fingerprint digested.
     pub clear_plan_cache: bool,
-    /// Drop the warm-start incumbent seed (bucket tables survive either
-    /// way — they digest the view, not the plan).
-    pub drop_warm_plan: bool,
 }
 
 /// A planning-and-execution policy: the one strategy abstraction behind
@@ -129,12 +126,11 @@ pub trait Policy: Send + Sync {
     }
 
     /// React to an out-of-bid kill. The default reproduces
-    /// `AdaptiveRunner`'s historical rule exactly: invalidate both the
-    /// fingerprint plan cache and the warm-start incumbent.
+    /// `AdaptiveRunner`'s historical rule exactly: invalidate the
+    /// fingerprint plan cache.
     fn on_kill(&self, _obs: &KillObservation) -> KillReaction {
         KillReaction {
             clear_plan_cache: true,
-            drop_warm_plan: true,
         }
     }
 
@@ -304,7 +300,6 @@ impl Policy for NoFt {
     fn on_kill(&self, _obs: &KillObservation) -> KillReaction {
         KillReaction {
             clear_plan_cache: false,
-            drop_warm_plan: false,
         }
     }
 }
@@ -529,7 +524,7 @@ mod tests {
             at_hours: 10.0,
             groups_failed: 1,
         });
-        assert!(!k.clear_plan_cache && !k.drop_warm_plan);
+        assert!(!k.clear_plan_cache);
     }
 
     #[test]

@@ -41,14 +41,12 @@
 //! # Warm-started re-optimization
 //!
 //! [`TwoLevelOptimizer::optimize_with`] accepts [`WarmStart`] state
-//! (`ctx.warm`) from a
-//! previous, similar search (the adaptive loop's previous window): the
-//! previous plan seeds the incumbent bound, its top subsets are enumerated
-//! first, and the per-`(group, bid)` failure tables behind `φ(P)` and the
-//! assessments are reused while their history digest matches. All three
-//! layers only change *how fast* the bound tightens or the assessments
-//! build — never which candidate wins — so the selected plan stays
-//! bit-identical to a cold search (see `crate::warmstart`).
+//! (`ctx.warm`) from a previous, similar search (the adaptive loop's
+//! previous window): the per-`(group, bid)` failure tables behind `φ(P)`
+//! and the assessments are reused while their history digest matches.
+//! That only changes how fast the assessments build — never which
+//! candidate wins — so the selected plan stays bit-identical to a cold
+//! search (see `crate::warmstart`).
 
 use crate::adaptive::PlanContext;
 use crate::cost::{
@@ -56,18 +54,18 @@ use crate::cost::{
 };
 use crate::error::SompiError;
 use crate::logsearch::BidGrid;
-use crate::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
+use crate::model::{GroupDecision, OnDemandOption, Plan};
 use crate::ondemand::{select_on_demand, DEFAULT_SLACK};
 use crate::parallel::resolve_threads;
 use crate::phi::{interval_from_mttf, optimal_interval_for, phi_horizon};
 use crate::problem::Problem;
 use crate::view::MarketView;
-use crate::warmstart::{BidTable, GroupTables, PrevWindow, WarmStart, HOT_SUBSETS};
+use crate::warmstart::{BidTable, GroupTables, WarmStart};
 use ec2_market::market::CircleGroupId;
 use serde::{Deserialize, Serialize};
 use sompi_obs::{emit, Event, PhaseTimer, TraceLevel};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Which bid grid shape to search (logarithmic is the paper's; uniform
@@ -457,17 +455,12 @@ impl<'a> TwoLevelOptimizer<'a> {
     ///   candidate loop only increments worker-local `u64` counters;
     ///   events are built outside it.
     /// * `ctx.warm` — warm-start state carried from a previous, similar
-    ///   search (DESIGN.md §12): the previous plan seeds the incumbent
-    ///   bound, its hot subsets are enumerated first, and unchanged
-    ///   per-group failure tables are reused. Every layer is
-    ///   exactness-preserving — the returned plan is bit-identical to a
-    ///   cold search at any thread count — and each is independently
-    ///   toggleable on the [`WarmStart`]. Emits one `WarmStartApplied`
-    ///   (Summary) per call with warm state attached, plus one
-    ///   `BucketTableReused` (Detail) per group whose table cache was
-    ///   consulted. The warm seed probe is not counted in
-    ///   `evaluations_performed`, which keeps reporting the full
-    ///   enumeration size.
+    ///   search (DESIGN.md §12): unchanged per-group failure tables are
+    ///   reused. Exactness-preserving — the returned plan is
+    ///   bit-identical to a cold search at any thread count. Emits one
+    ///   `WarmStartApplied` (Summary) per call with warm state attached,
+    ///   plus one `BucketTableReused` (Detail) per group whose table
+    ///   cache was consulted.
     /// * `ctx.pool` — a persistent [`SearchPool`](crate::pool::SearchPool): when present and the
     ///   search is parallel, the chunk jobs run on the pool's resident
     ///   workers instead of spawning fresh threads (one `SearchPoolUsed`
@@ -527,38 +520,19 @@ impl<'a> TwoLevelOptimizer<'a> {
             })
             .collect();
 
-        // The previous window's carry-over, cloned out up front so the
-        // warm state itself can be rewritten once this search concludes.
-        let warm_prev: Option<PrevWindow> = match warm.as_deref() {
-            Some(w) if w.use_plan => w.prev.clone(),
-            _ => None,
-        };
-
         // The incumbent cost bound candidates must beat, as IEEE bits
         // (non-negative floats order identically as u64 bits, so
         // `fetch_min` over bits is `fetch_min` over costs). Seeded with
         // the on-demand incumbent when it is feasible — the search only
         // keeps spot candidates that beat it anyway.
-        let od_seed_bound = if od_feasible {
+        let od_bound = if od_feasible {
             od_eval.expected_cost
         } else {
             f64::INFINITY
         };
-        // Warm seed: project the previous window's plan onto the current
-        // option grids and evaluate that one candidate. When feasible its
-        // cost tightens the bound before the first enumerated candidate —
-        // exact, because the seed is an achievable feasible cost, so the
-        // strict `lb > bound` prune can never discard the candidate that
-        // attains (or beats) it.
-        let seed_cost: Option<f64> = warm_prev
-            .as_ref()
-            .and_then(|p| self.project_seed(&options, &od, &p.plan));
-        let seed_bound = match seed_cost {
-            Some(c) => od_seed_bound.min(c),
-            None => od_seed_bound,
-        };
-        let shared_bound = AtomicU64::new(seed_bound.to_bits());
+        let shared_bound = AtomicU64::new(od_bound.to_bits());
         let use_shared = self.config.shared_incumbent && self.config.prune_bound;
+        let shared = use_shared.then_some(&shared_bound);
 
         // Precollect the k-subsets (k ascending, lexicographic within k)
         // so they can be chunked across workers with stable global indices.
@@ -572,21 +546,7 @@ impl<'a> TwoLevelOptimizer<'a> {
             });
         }
 
-        // Enumeration order over `subsets`: canonical (identity) when
-        // cold, hot-first when the previous window handed over its top
-        // subsets. Only the *visit order* changes — every subset is still
-        // walked, ordinals stay canonical, and candidates compare under
-        // the same total order — so the selected plan is bit-identical
-        // either way; a hot prefix that contains the winner merely
-        // tightens the incumbent bound sooner.
-        let (order, hot_applied): (Vec<usize>, u32) = match &warm_prev {
-            Some(p) if !p.hot_subsets.is_empty() => {
-                hot_first_order(&subsets, &p.hot_subsets, &self.problem.candidates)
-            }
-            _ => ((0..subsets.len()).collect(), 0),
-        };
-
-        let threads = resolve_threads(self.config.threads).min(order.len().max(1));
+        let threads = resolve_threads(self.config.threads).min(subsets.len().max(1));
         emit(recorder, TraceLevel::Summary, || Event::PlanSearchStarted {
             candidates: n as u32,
             kappa: self.config.kappa as u32,
@@ -600,41 +560,26 @@ impl<'a> TwoLevelOptimizer<'a> {
         });
 
         let search_timer = PhaseTimer::start();
+        let chunk = |range: Range<usize>| {
+            self.search_chunk(&options, &od, &subsets, range, &min_wall, shared, od_bound)
+        };
+        // One contiguous range of canonical subset indices per worker.
+        let per_worker = subsets.len().div_ceil(threads).max(1);
+        let ranges: Vec<Range<usize>> = (0..subsets.len())
+            .step_by(per_worker)
+            .map(|lo| lo..(lo + per_worker).min(subsets.len()))
+            .collect();
         let results: Vec<WorkerStats> = if threads <= 1 {
-            let shared = use_shared.then_some(&shared_bound);
-            vec![self.search_chunk(
-                &options, &od, &subsets, &order, &min_wall, shared, seed_bound,
-            )]
+            vec![chunk(0..subsets.len())]
         } else if let Some(pool) = pool {
             // Persistent dispatch: same chunking, same submission-order
             // merge — the resident workers only replace the spawn/join.
             let search_seq = pool.begin_search();
-            let chunk = order.len().div_ceil(threads);
+            let chunk = &chunk;
             let mut tasks: Vec<Box<dyn FnOnce() -> WorkerStats + Send + '_>> =
-                Vec::with_capacity(threads);
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = (lo + chunk).min(order.len());
-                if lo >= hi {
-                    break;
-                }
-                let chunk_order = &order[lo..hi];
-                let subsets = &subsets;
-                let options = &options;
-                let od = &od;
-                let min_wall = &min_wall;
-                let shared = use_shared.then_some(&shared_bound);
-                tasks.push(Box::new(move || {
-                    self.search_chunk(
-                        options,
-                        od,
-                        subsets,
-                        chunk_order,
-                        min_wall,
-                        shared,
-                        seed_bound,
-                    )
-                }));
+                Vec::with_capacity(ranges.len());
+            for r in ranges {
+                tasks.push(Box::new(move || chunk(r)));
             }
             let jobs = tasks.len() as u32;
             emit(recorder, TraceLevel::Summary, || Event::SearchPoolUsed {
@@ -645,33 +590,12 @@ impl<'a> TwoLevelOptimizer<'a> {
             });
             pool.run(tasks)
         } else {
-            let chunk = order.len().div_ceil(threads);
+            let chunk = &chunk;
             crossbeam::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    let lo = t * chunk;
-                    let hi = (lo + chunk).min(order.len());
-                    if lo >= hi {
-                        break;
-                    }
-                    let chunk_order = &order[lo..hi];
-                    let subsets = &subsets;
-                    let options = &options;
-                    let od = &od;
-                    let min_wall = &min_wall;
-                    let shared = use_shared.then_some(&shared_bound);
-                    handles.push(s.spawn(move |_| {
-                        self.search_chunk(
-                            options,
-                            od,
-                            subsets,
-                            chunk_order,
-                            min_wall,
-                            shared,
-                            seed_bound,
-                        )
-                    }));
-                }
+                let handles: Vec<_> = ranges
+                    .into_iter()
+                    .map(|r| s.spawn(move |_| chunk(r)))
+                    .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("search worker panicked"))
@@ -742,7 +666,7 @@ impl<'a> TwoLevelOptimizer<'a> {
             (false, true) => false,
             _ => c.eval.expected_cost < od_eval.expected_cost,
         });
-        let (plan, evaluation, winner_subset) = match spot {
+        let (plan, evaluation, source) = match spot {
             Some(c) => {
                 let plan = Plan {
                     groups: c
@@ -756,38 +680,13 @@ impl<'a> TwoLevelOptimizer<'a> {
                         .collect(),
                     on_demand: od,
                 };
-                (plan, c.eval, Some(c.subset))
+                (plan, c.eval, "spot")
             }
-            None => (Plan::on_demand_only(od), od_eval, None),
-        };
-        let source = if winner_subset.is_some() {
-            "spot"
-        } else {
-            "on-demand"
+            None => (Plan::on_demand_only(od), od_eval, "on-demand"),
         };
 
-        // Hand this window's outcome to the next search and surface the
-        // warm-start summary. The hot-subset ranking is computed from the
-        // per-subset lower-bound sums — thread-count-independent, unlike
-        // any ranking derived from worker incumbent trajectories.
-        if let Some(w) = warm {
-            if w.use_plan {
-                let hot = rank_hot_subsets(
-                    &subsets,
-                    &options,
-                    &min_wall,
-                    winner_subset.as_deref(),
-                    &self.problem.candidates,
-                );
-                w.prev = Some(PrevWindow {
-                    plan: plan.clone(),
-                    hot_subsets: hot,
-                });
-            }
+        if warm.is_some() {
             emit(recorder, TraceLevel::Summary, || Event::WarmStartApplied {
-                seeded: seed_cost.is_some(),
-                seed_cost,
-                hot_subsets: hot_applied,
                 tables_reused,
                 tables_rebuilt,
             });
@@ -817,54 +716,6 @@ impl<'a> TwoLevelOptimizer<'a> {
             evaluation,
             evaluations_performed: evaluations,
         })
-    }
-
-    /// Project the previous window's plan onto the current option grids —
-    /// match each plan group to a current candidate by circle-group id and
-    /// to the grid option with the nearest bid (ties to the higher bid) —
-    /// and evaluate that single candidate. Returns its expected cost when
-    /// it is feasible under the current deadline and chance constraint;
-    /// `None` when any group no longer exists, has no options, or the
-    /// projected candidate is infeasible (an infeasible cost must never
-    /// enter the bound — pruning against it would not be exact).
-    fn project_seed(
-        &self,
-        options: &[Vec<GroupAssessment>],
-        od: &OnDemandOption,
-        prev: &Plan,
-    ) -> Option<f64> {
-        if prev.groups.is_empty() {
-            return None;
-        }
-        let mut refs: Vec<&GroupAssessment> = Vec::with_capacity(prev.groups.len());
-        for (g, d) in &prev.groups {
-            let gi = self.problem.candidates.iter().position(|c| c.id == g.id)?;
-            let opts = &options[gi];
-            let mut best: Option<(f64, usize)> = None;
-            for (i, a) in opts.iter().enumerate() {
-                let diff = (a.decision.bid - d.bid).abs();
-                let better = match &best {
-                    None => true,
-                    Some((bd, bi)) => match diff.total_cmp(bd) {
-                        Ordering::Less => true,
-                        Ordering::Greater => false,
-                        Ordering::Equal => a.decision.bid > opts[*bi].decision.bid,
-                    },
-                };
-                if better {
-                    best = Some((diff, i));
-                }
-            }
-            refs.push(&opts[best?.1]);
-        }
-        let eval = evaluate(&refs, od);
-        let feasible = eval.meets(self.problem.deadline)
-            && self
-                .config
-                .min_spot_success
-                .map(|q| eval.p_all_fail <= 1.0 - q)
-                .unwrap_or(true);
-        feasible.then_some(eval.expected_cost)
     }
 
     /// Assess every candidate (group, bid level, interval) option once, up
@@ -1049,14 +900,11 @@ impl<'a> TwoLevelOptimizer<'a> {
         })
     }
 
-    /// Search one contiguous chunk of the enumeration order with
-    /// worker-local state: a reused borrow buffer, a reused odometer, an
-    /// [`EvalScratch`], a local incumbent, and a local evaluation counter.
-    /// `order` is this worker's slice of the global visit order; each
-    /// entry is the subset's *canonical* index into `subsets`, which is
-    /// what enters the enumeration ordinal — so ordinals are globally
-    /// unique, chunk-invariant, and independent of any warm-start
-    /// reordering of the visit sequence.
+    /// Search one contiguous range of `subsets` with worker-local state:
+    /// a reused borrow buffer, a reused odometer, an [`EvalScratch`], a
+    /// local incumbent, and a local evaluation counter. A subset's index
+    /// into `subsets` is what enters the enumeration ordinal, so ordinals
+    /// are globally unique and chunk-invariant.
     ///
     /// With [`OptimizerConfig::prune_bound`] on, each subset runs a
     /// branch-and-bound walk (DESIGN.md §8.2): the slots' options are
@@ -1066,7 +914,7 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// without evaluation. `shared_bound` (cost as IEEE bits) is the
     /// cross-worker incumbent when [`OptimizerConfig::shared_incumbent`]
     /// is on; otherwise the worker prunes against a local bound seeded
-    /// from `od_seed_bound`. Pruning never removes a candidate that could
+    /// from `od_bound`. Pruning never removes a candidate that could
     /// win under the total order, so the returned incumbent — and with it
     /// the merged [`OptimizedPlan`] — is bit-identical to the exhaustive
     /// walk. The reported `evaluations` counter always carries the full
@@ -1078,10 +926,10 @@ impl<'a> TwoLevelOptimizer<'a> {
         options: &[Vec<GroupAssessment>],
         od: &OnDemandOption,
         subsets: &[Vec<usize>],
-        order: &[usize],
+        range: Range<usize>,
         min_wall: &[f64],
         shared_bound: Option<&AtomicU64>,
-        seed_bound: f64,
+        od_bound: f64,
     ) -> WorkerStats {
         let mut evaluations = 0u64;
         let mut feasible_hits = 0u64;
@@ -1103,11 +951,11 @@ impl<'a> TwoLevelOptimizer<'a> {
         let mut head_min: Vec<f64> = Vec::new();
         // Worker-local incumbent bound, used when no shared bound is
         // installed. Either way the bound only ever holds feasible
-        // candidate costs (or the on-demand / warm-start seed), so strict
-        // pruning against it is exact (DESIGN.md §8.3).
-        let mut local_bound = seed_bound;
+        // candidate costs (or the on-demand incumbent), so strict pruning
+        // against it is exact (DESIGN.md §8.3).
+        let mut local_bound = od_bound;
 
-        for &subset_ordinal in order {
+        for subset_ordinal in range {
             let chosen = &subsets[subset_ordinal];
             if chosen.iter().any(|&g| options[g].is_empty()) {
                 continue;
@@ -1388,122 +1236,6 @@ fn enumerate_subsets(
         enumerate_subsets(n, k, i + 1, acc, f);
         acc.pop();
     }
-}
-
-/// Build the hot-first visit order: the carried-over subsets (resolved
-/// from circle-group ids to canonical subset indices) first, in their
-/// carried rank order, then every remaining subset in canonical order.
-/// Carried subsets that no longer resolve — a group left the candidate
-/// list, or the subset shape changed — are silently skipped. Returns the
-/// order plus how many hot subsets were actually applied.
-fn hot_first_order(
-    subsets: &[Vec<usize>],
-    hot: &[Vec<CircleGroupId>],
-    candidates: &[CircleGroup],
-) -> (Vec<usize>, u32) {
-    let id_to_idx: BTreeMap<CircleGroupId, usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.id, i))
-        .collect();
-    let pos: BTreeMap<&[usize], usize> = subsets
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.as_slice(), i))
-        .collect();
-    let mut order = Vec::with_capacity(subsets.len());
-    let mut taken = vec![false; subsets.len()];
-    for ids in hot {
-        let Some(mut idxs) = ids
-            .iter()
-            .map(|id| id_to_idx.get(id).copied())
-            .collect::<Option<Vec<usize>>>()
-        else {
-            continue;
-        };
-        idxs.sort_unstable();
-        if let Some(&i) = pos.get(idxs.as_slice()) {
-            if !taken[i] {
-                taken[i] = true;
-                order.push(i);
-            }
-        }
-    }
-    let hot_applied = order.len() as u32;
-    for (i, t) in taken.iter().enumerate() {
-        if !t {
-            order.push(i);
-        }
-    }
-    (order, hot_applied)
-}
-
-/// Rank the subsets a finished search hands to the next window: the
-/// winning subset first, then the best runners-up by the sum of per-slot
-/// minimum [`GroupAssessment::cost_lower_bound`]s (ascending; ties break
-/// to the lower canonical index), capped at [`HOT_SUBSETS`]. Derived from
-/// the assessed options alone — not from worker incumbent trajectories —
-/// so the ranking is identical at every thread count.
-fn rank_hot_subsets(
-    subsets: &[Vec<usize>],
-    options: &[Vec<GroupAssessment>],
-    min_wall: &[f64],
-    winner: Option<&[usize]>,
-    candidates: &[CircleGroup],
-) -> Vec<Vec<CircleGroupId>> {
-    // A subset's `w_min` is attained by one of its members, so the only
-    // walls that can occur are the entries of `min_wall`. Precompute each
-    // group's option-minimum bound at every such wall once — the subset
-    // loop below would otherwise recompute the same inner minimum
-    // `C(K, k)` times per group.
-    let mut walls: Vec<f64> = min_wall.to_vec();
-    walls.sort_unstable_by(f64::total_cmp);
-    walls.dedup_by(|a, b| a.to_bits() == b.to_bits());
-    let wall_index = |w: f64| {
-        walls
-            .binary_search_by(|x| x.total_cmp(&w))
-            .expect("w_min is an entry of min_wall")
-    };
-    let lb_at: Vec<Vec<f64>> = options
-        .iter()
-        .map(|opts| {
-            walls
-                .iter()
-                .map(|&w| {
-                    opts.iter()
-                        .map(|a| a.cost_lower_bound(w))
-                        .fold(f64::INFINITY, f64::min)
-                })
-                .collect()
-        })
-        .collect();
-    let mut ranked: Vec<(f64, usize)> = subsets
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.iter().all(|&g| !options[g].is_empty()))
-        .map(|(i, s)| {
-            let w_min = s.iter().map(|&g| min_wall[g]).fold(f64::INFINITY, f64::min);
-            let at = wall_index(w_min);
-            let lb: f64 = s.iter().map(|&g| lb_at[g][at]).sum();
-            (lb, i)
-        })
-        .collect();
-    ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let ids = |s: &[usize]| -> Vec<CircleGroupId> { s.iter().map(|&g| candidates[g].id).collect() };
-    let mut hot: Vec<Vec<CircleGroupId>> = Vec::with_capacity(HOT_SUBSETS);
-    if let Some(w) = winner {
-        hot.push(ids(w));
-    }
-    for &(_, i) in &ranked {
-        if hot.len() >= HOT_SUBSETS {
-            break;
-        }
-        if winner.is_some_and(|w| w == subsets[i].as_slice()) {
-            continue;
-        }
-        hot.push(ids(&subsets[i]));
-    }
-    hot
 }
 
 #[cfg(test)]
@@ -1806,28 +1538,17 @@ mod tests {
         let (_, problem, view) = setup();
         let opt = TwoLevelOptimizer::new(&problem, &view, small_config());
         let cold = opt.optimize().unwrap();
-        let mut warm = WarmStart::new();
-        // First warm window has nothing carried; subsequent ones replay
-        // with a seed, hot-first order, and cached tables.
-        for pass in 0..3 {
-            let got = opt
-                .optimize_with(&mut PlanContext::new().with_warm(&mut warm))
-                .unwrap();
-            assert_eq!(cold, got, "warm pass {pass} diverged");
-        }
-        assert!(warm.has_plan());
-        assert!(warm.cached_groups() > 0);
-        // Each ablation arm also matches bit-for-bit.
-        for (plan_on, tables_on) in [(true, false), (false, true), (false, false)] {
-            let mut w = WarmStart::new()
-                .with_plan_carryover(plan_on)
-                .with_table_reuse(tables_on);
-            for _ in 0..2 {
+        // The first warm pass fills the table cache; later ones reuse it.
+        // The reuse-off arm also matches bit-for-bit.
+        for tables_on in [true, false] {
+            let mut warm = WarmStart::new().with_table_reuse(tables_on);
+            for pass in 0..3 {
                 let got = opt
-                    .optimize_with(&mut PlanContext::new().with_warm(&mut w))
+                    .optimize_with(&mut PlanContext::new().with_warm(&mut warm))
                     .unwrap();
-                assert_eq!(cold, got, "plan={plan_on} tables={tables_on}");
+                assert_eq!(cold, got, "tables={tables_on} pass {pass} diverged");
             }
+            assert_eq!(warm.cached_groups() > 0, tables_on);
         }
     }
 
@@ -1851,33 +1572,6 @@ mod tests {
         for threads in [2usize, 8] {
             assert_eq!(serial, run(threads), "threads={threads} diverged");
         }
-    }
-
-    #[test]
-    fn hot_first_order_is_a_permutation_led_by_the_carryover() {
-        let (_, problem, view) = setup();
-        let opt = TwoLevelOptimizer::new(&problem, &view, small_config());
-        let mut warm = WarmStart::new();
-        opt.optimize_with(&mut PlanContext::new().with_warm(&mut warm))
-            .unwrap();
-        let prev = warm.prev.as_ref().expect("a plan must be carried");
-        assert!(!prev.hot_subsets.is_empty());
-        assert!(prev.hot_subsets.len() <= HOT_SUBSETS);
-        // Resolve the carried subsets against a fresh enumeration: every
-        // subset index must appear exactly once, hot prefix first.
-        let n = problem.candidates.len();
-        let mut subsets: Vec<Vec<usize>> = Vec::new();
-        let mut acc = Vec::new();
-        for k in 1..=small_config().kappa.min(n) {
-            enumerate_subsets(n, k, 0, &mut acc, &mut |s: &[usize]| {
-                subsets.push(s.to_vec());
-            });
-        }
-        let (order, applied) = hot_first_order(&subsets, &prev.hot_subsets, &problem.candidates);
-        assert_eq!(applied as usize, prev.hot_subsets.len());
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..subsets.len()).collect::<Vec<_>>());
     }
 }
 

@@ -3,55 +3,25 @@
 //! The adaptive loop (Algorithm 1, §4.3) re-runs the two-level search
 //! every window over a problem that usually changed only slightly: the
 //! remaining work shrank, and the market view slid forward by one window.
-//! A [`WarmStart`] carries three things from one search to the next, all
-//! exactness-preserving — the selected plan stays bit-identical to a cold
-//! search at every thread count:
+//! A [`WarmStart`] carries one thing from one search to the next, the
+//! integer failure-count tables behind `φ(P)` and each
+//! [`GroupAssessment`](crate::cost::GroupAssessment). They are cached per
+//! `(group, bid)` and keyed by a digest of the group's empirical price
+//! history. A table recorded at horizon `H` truncates to any `h ≤ H`
+//! bit-identically (asserted by `ec2_market`'s truncation tests), so
+//! unchanged view entries skip the `O(n·H)` counting walk entirely; a
+//! drifted digest invalidates that group's entries and nothing else. The
+//! selected plan stays bit-identical to a cold search at every thread
+//! count.
 //!
-//! 1. **Incumbent seed** — the previous window's plan, projected onto the
-//!    current option grids and re-evaluated. When feasible, its cost seeds
-//!    the shared branch-and-bound incumbent so pruning bites from the very
-//!    first candidate instead of ramping up.
-//! 2. **Hot-first subset order** — the previous window's winning subset
-//!    plus its top-ranked runners-up are enumerated first. Only the visit
-//!    order changes; every subset is still walked and the total candidate
-//!    order decides, so the result cannot change — but the incumbent bound
-//!    tightens sooner, compounding with the seed.
-//! 3. **Bucket-table reuse** — the integer failure-count tables behind
-//!    `φ(P)` and each [`GroupAssessment`](crate::cost::GroupAssessment)
-//!    are cached per `(group, bid)` and keyed by a digest of the group's
-//!    empirical price history. A table recorded at horizon `H` truncates
-//!    to any `h ≤ H` bit-identically (asserted by `ec2_market`'s
-//!    truncation tests), so unchanged view entries skip the `O(n·H)`
-//!    counting walk entirely; a drifted digest invalidates that group's
-//!    entries and nothing else.
-//!
-//! The layers are independently toggleable (the CLI's `--no-warmstart`
-//! and `--no-bucket-reuse` ablation flags); `tests/warmstart_differential.rs`
-//! pins warm and cold plans bit-identical across thread counts and
-//! ablation settings over a long adaptive study.
+//! The CLI's `--no-bucket-reuse` ablation flag switches the reuse off;
+//! `tests/warmstart_differential.rs` pins warm and cold plans
+//! bit-identical across thread counts over a long adaptive study.
 
-use crate::model::Plan;
 use crate::Hours;
 use ec2_market::failure::FailureCounts;
 use ec2_market::market::CircleGroupId;
 use std::collections::BTreeMap;
-
-/// How many subsets the previous window hands to the next one as the
-/// hot-first prefix of the enumeration order (winner first, then the
-/// best-ranked runners-up by summed lower bound).
-pub const HOT_SUBSETS: usize = 16;
-
-/// Carry-over from the previous window's search: the plan that seeds the
-/// incumbent bound and the subsets enumerated first.
-#[derive(Debug, Clone)]
-pub(crate) struct PrevWindow {
-    /// The previously selected plan (possibly pure on-demand, in which
-    /// case it cannot seed the bound but the hot subsets still apply).
-    pub(crate) plan: Plan,
-    /// Top-ranked subsets as circle-group id lists (id-based so the
-    /// carry-over survives candidate reindexing between windows).
-    pub(crate) hot_subsets: Vec<Vec<CircleGroupId>>,
-}
 
 /// Cached failure tables for one circle group, valid only while the
 /// group's empirical price history digest matches.
@@ -88,34 +58,18 @@ pub(crate) struct BidTable {
 /// `optimize`) for a cold search.
 #[derive(Debug, Clone)]
 pub struct WarmStart {
-    /// Seed the incumbent bound from the previous plan and enumerate the
-    /// previous window's hot subsets first.
-    pub(crate) use_plan: bool,
     /// Reuse per-`(group, bid)` failure-count tables across windows.
     pub(crate) use_tables: bool,
-    pub(crate) prev: Option<PrevWindow>,
     pub(crate) tables: BTreeMap<CircleGroupId, GroupTables>,
 }
 
 impl WarmStart {
-    /// Fresh warm-start state with every layer enabled.
+    /// Fresh warm-start state with table reuse enabled.
     pub fn new() -> Self {
         Self {
-            use_plan: true,
             use_tables: true,
-            prev: None,
             tables: BTreeMap::new(),
         }
-    }
-
-    /// Enable/disable the plan carry-over (incumbent seed + hot-first
-    /// order). Disabling drops any carried plan.
-    pub fn with_plan_carryover(mut self, on: bool) -> Self {
-        self.use_plan = on;
-        if !on {
-            self.prev = None;
-        }
-        self
     }
 
     /// Enable/disable bucket-table reuse. Disabling drops the cache.
@@ -127,19 +81,9 @@ impl WarmStart {
         self
     }
 
-    /// Whether the plan carry-over layer is enabled.
-    pub fn plan_carryover(&self) -> bool {
-        self.use_plan
-    }
-
     /// Whether the bucket-table layer is enabled.
     pub fn table_reuse(&self) -> bool {
         self.use_tables
-    }
-
-    /// Whether a previous window's plan is currently carried.
-    pub fn has_plan(&self) -> bool {
-        self.prev.is_some()
     }
 
     /// Number of circle groups with cached failure tables.
@@ -147,17 +91,8 @@ impl WarmStart {
         self.tables.len()
     }
 
-    /// Drop the carried plan (e.g. after a mid-window group failure makes
-    /// the previous window's outcome a poor predictor). The next search
-    /// runs with canonical order and the on-demand seed only; the bucket
-    /// tables stay (they depend on the market view, not the plan).
-    pub fn invalidate_plan(&mut self) {
-        self.prev = None;
-    }
-
-    /// Drop everything: carried plan and cached tables.
+    /// Drop the cached tables.
     pub fn clear(&mut self) {
-        self.prev = None;
         self.tables.clear();
     }
 }
@@ -175,20 +110,14 @@ mod tests {
     #[test]
     fn defaults_enable_every_layer() {
         let w = WarmStart::default();
-        assert!(w.plan_carryover());
         assert!(w.table_reuse());
-        assert!(!w.has_plan());
         assert_eq!(w.cached_groups(), 0);
     }
 
     #[test]
     fn ablation_toggles_drop_their_state() {
-        let w = WarmStart::new()
-            .with_plan_carryover(false)
-            .with_table_reuse(false);
-        assert!(!w.plan_carryover());
+        let w = WarmStart::new().with_table_reuse(false);
         assert!(!w.table_reuse());
-        assert!(!w.has_plan());
         assert_eq!(w.cached_groups(), 0);
     }
 
@@ -205,6 +134,6 @@ mod tests {
         assert_eq!(w.cached_groups(), 1);
         w.clear();
         assert_eq!(w.cached_groups(), 0);
-        assert!(w.plan_carryover() && w.table_reuse());
+        assert!(w.table_reuse());
     }
 }

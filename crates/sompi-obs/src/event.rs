@@ -191,21 +191,12 @@ pub enum Event {
         /// `OptimizerConfig::threads`, never by the pool size).
         jobs: u32,
     },
-    /// The warm-start layer's per-window summary: whether the previous
-    /// window's plan seeded the incumbent bound, how many carried subsets
-    /// led the enumeration order, and the bucket-table cache totals.
-    /// Emitted once per `optimize_with` call with warm state attached;
-    /// warm-free contexts never construct it.
+    /// The warm-start layer's per-window summary: the bucket-table cache
+    /// totals. Emitted once per `optimize_with` call with warm state
+    /// attached; warm-free contexts never construct it. Traces written
+    /// before the plan carry-over was removed also carry `seeded`,
+    /// `seed_cost` and `hot_subsets`; those keys are ignored on parse.
     WarmStartApplied {
-        /// True when the previous plan projected onto the current option
-        /// grids to a feasible candidate whose cost seeded the incumbent
-        /// bound.
-        seeded: bool,
-        /// The seed cost (USD) when `seeded`.
-        seed_cost: Option<f64>,
-        /// Previous-window subsets applied to the front of this window's
-        /// enumeration order.
-        hot_subsets: u32,
         /// Per-`(group, bid)` failure-table entries served entirely from
         /// the warm cache this window.
         tables_reused: u64,
@@ -589,9 +580,6 @@ mod tests {
                 jobs: 4,
             },
             Event::WarmStartApplied {
-                seeded: true,
-                seed_cost: Some(39.25),
-                hot_subsets: 16,
                 tables_reused: 40,
                 tables_rebuilt: 8,
             },

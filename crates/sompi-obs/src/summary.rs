@@ -152,9 +152,6 @@ struct WindowLine {
 
 #[derive(Debug)]
 struct WarmLine {
-    seeded: bool,
-    seed_cost: Option<f64>,
-    hot_subsets: u32,
     tables_reused: u64,
     tables_rebuilt: u64,
 }
@@ -270,15 +267,9 @@ impl RunReport {
                     p.jobs += u64::from(*jobs);
                 }
                 Event::WarmStartApplied {
-                    seeded,
-                    seed_cost,
-                    hot_subsets,
                     tables_reused,
                     tables_rebuilt,
                 } => report.warm.push(WarmLine {
-                    seeded: *seeded,
-                    seed_cost: *seed_cost,
-                    hot_subsets: *hot_subsets,
                     tables_reused: *tables_reused,
                     tables_rebuilt: *tables_rebuilt,
                 }),
@@ -581,15 +572,12 @@ impl fmt::Display for RunReport {
             writeln!(f, "\nwarm starts")?;
             writeln!(f, "-----------")?;
             for (i, w) in self.warm.iter().enumerate() {
-                write!(f, "  search {:>2}: ", i + 1)?;
-                match (w.seeded, w.seed_cost) {
-                    (true, Some(c)) => write!(f, "seeded at ${c:.2}")?,
-                    _ => write!(f, "no incumbent seed")?,
-                }
                 writeln!(
                     f,
-                    ", {} hot subset(s) first; tables {} reused / {} rebuilt",
-                    w.hot_subsets, w.tables_reused, w.tables_rebuilt
+                    "  search {:>2}: tables {} reused / {} rebuilt",
+                    i + 1,
+                    w.tables_reused,
+                    w.tables_rebuilt
                 )?;
             }
         }
@@ -885,9 +873,6 @@ mod tests {
     fn warm_start_events_get_their_own_section() {
         let events = vec![
             Event::WarmStartApplied {
-                seeded: true,
-                seed_cost: Some(19.75),
-                hot_subsets: 4,
                 tables_reused: 36,
                 tables_rebuilt: 12,
             },
@@ -898,9 +883,6 @@ mod tests {
                 rebuilt: 12,
             },
             Event::WarmStartApplied {
-                seeded: false,
-                seed_cost: None,
-                hot_subsets: 0,
                 tables_reused: 0,
                 tables_rebuilt: 48,
             },
@@ -908,11 +890,31 @@ mod tests {
         let text = RunReport::from_events(&events).render();
         assert!(text.contains("warm starts"), "{text}");
         assert!(
-            text.contains("seeded at $19.75, 4 hot subset(s) first; tables 36 reused / 12 rebuilt"),
+            text.contains("search  1: tables 36 reused / 12 rebuilt"),
             "{text}"
         );
         assert!(
-            text.contains("no incumbent seed, 0 hot subset(s) first; tables 0 reused / 48 rebuilt"),
+            text.contains("search  2: tables 0 reused / 48 rebuilt"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn warm_start_lines_with_carried_plan_fields_still_parse() {
+        // Traces written while the warm start also carried the previous
+        // plan hold three more keys; they are read and ignored.
+        let line = r#"{"WarmStartApplied":{"seeded":false,"seed_cost":null,"hot_subsets":16,"tables_reused":6,"tables_rebuilt":49}}"#;
+        let events = crate::parse_jsonl(line).expect("old warm-start line parses");
+        assert_eq!(
+            events,
+            vec![Event::WarmStartApplied {
+                tables_reused: 6,
+                tables_rebuilt: 49,
+            }]
+        );
+        let text = RunReport::from_events(&events).render();
+        assert!(
+            text.contains("search  1: tables 6 reused / 49 rebuilt"),
             "{text}"
         );
     }

@@ -217,7 +217,8 @@ pub struct ReplayRequest {
     /// Re-planning period T_m in hours (adaptive only).
     #[serde(default = "d_window")]
     pub window_hours: f64,
-    /// Warm-start the per-window re-optimization (adaptive only).
+    /// Accepted, echoed in the report and ignored: it switched the
+    /// previous-window plan carry-over, which is gone (adaptive only).
     #[serde(default = "d_true")]
     pub warmstart: bool,
     /// Reuse unchanged per-group bucket tables (adaptive only).

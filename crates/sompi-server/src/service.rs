@@ -301,7 +301,8 @@ pub struct ReplayReport {
     pub plan: Option<Plan>,
     /// Re-planning period T_m, hours (adaptive only).
     pub window_hours: Option<f64>,
-    /// Whether warm-started re-optimization was enabled (adaptive only).
+    /// Echo of the request's `warmstart` key (adaptive only). The key is
+    /// ignored: the plan carry-over it switched is gone.
     pub warmstart: Option<bool>,
     /// Whether bucket-table reuse was enabled (adaptive only).
     pub bucket_reuse: Option<bool>,
@@ -321,6 +322,25 @@ fn injector_from(
     // FaultPlan::parse errors already name the offending `--faults` term.
     let plan = FaultPlan::parse(spec, req.fault_seed).map_err(ServiceError::InvalidArgument)?;
     Ok(Some(FaultInjector::new(plan, market.horizon())))
+}
+
+/// The adaptive runner's configuration from an adaptive request. Rejects
+/// a `window_hours` that is not finite and positive: such a window never
+/// advances the runner's clock. `warmstart` is passed through unread.
+fn adaptive_config(req: &ReplayRequest) -> Result<AdaptiveConfig, ServiceError> {
+    if !(req.window_hours.is_finite() && req.window_hours > 0.0) {
+        return Err(ServiceError::InvalidArgument(format!(
+            "window hours must be finite and positive, got {}",
+            req.window_hours
+        )));
+    }
+    Ok(AdaptiveConfig {
+        window_hours: req.window_hours,
+        history_hours: req.plan.history_hours,
+        optimizer: optimizer_config(&req.plan),
+        warmstart: req.warmstart,
+        bucket_reuse: req.bucket_reuse,
+    })
 }
 
 fn monte_carlo(market: &SpotMarket, problem: &Problem, req: &ReplayRequest) -> MonteCarlo {
@@ -364,13 +384,7 @@ pub fn replay(
     let replicas = req.replicas as usize;
 
     if req.adaptive {
-        let cfg = AdaptiveConfig {
-            window_hours: req.window_hours,
-            history_hours: p.history_hours,
-            optimizer: optimizer_config(p),
-            warmstart: req.warmstart,
-            bucket_reuse: req.bucket_reuse,
-        };
+        let cfg = adaptive_config(req)?;
         let runner = AdaptiveRunner::new(market, cfg);
         let windows = std::sync::atomic::AtomicU64::new(0);
         let changes = std::sync::atomic::AtomicU64::new(0);
@@ -460,13 +474,7 @@ pub fn traced_replay(
     let ctx = ctx.with_recorder(recorder);
     let start = p.history_hours + 1.0;
     if req.adaptive {
-        let cfg = AdaptiveConfig {
-            window_hours: req.window_hours,
-            history_hours: p.history_hours,
-            optimizer: optimizer_config(p),
-            warmstart: req.warmstart,
-            bucket_reuse: req.bucket_reuse,
-        };
+        let cfg = adaptive_config(req)?;
         AdaptiveRunner::new(market, cfg)
             .run(&problem, start, &ctx)
             .map_err(|e| ServiceError::Plan(e.to_string()))?;
@@ -678,6 +686,33 @@ mod tests {
         assert!(r.plan.is_none());
         assert!(r.mean_windows.unwrap() >= 1.0);
         assert_eq!(r.warmstart, Some(true));
+    }
+
+    #[test]
+    fn non_positive_or_nan_adaptive_window_is_invalid_argument() {
+        let market = market(200.0);
+        for window_hours in [0.0, -2.0, f64::NAN] {
+            let req = ReplayRequest {
+                plan: small_request(),
+                replicas: 2,
+                adaptive: true,
+                window_hours,
+                ..Default::default()
+            };
+            let err = replay(&market, &req, &NullRecorder).unwrap_err();
+            assert_eq!(err.kind(), errkind::INVALID_ARGUMENT, "{window_hours}");
+            assert!(err.to_string().contains("window hours"), "{err}");
+            let err = traced_replay(&market, &req, None, &NullRecorder).unwrap_err();
+            assert_eq!(err.kind(), errkind::INVALID_ARGUMENT, "{window_hours}");
+        }
+        // A fixed-plan replay never reads the window.
+        let req = ReplayRequest {
+            plan: small_request(),
+            replicas: 2,
+            window_hours: 0.0,
+            ..Default::default()
+        };
+        assert!(replay(&market, &req, &NullRecorder).is_ok());
     }
 
     #[test]

@@ -276,6 +276,22 @@ pub fn run_tournament(
             "tournament needs at least one fault case (use `none`)".into(),
         ));
     }
+    for (ok, what, got) in [
+        (
+            cfg.market_hours.is_finite() && cfg.market_hours > 0.0,
+            "market hours must be finite and positive",
+            cfg.market_hours,
+        ),
+        (
+            cfg.market_step_hours.is_finite() && cfg.market_step_hours > 0.0,
+            "market step hours must be finite and positive",
+            cfg.market_step_hours,
+        ),
+    ] {
+        if !ok {
+            return Err(ServiceError::InvalidArgument(format!("{what}, got {got}")));
+        }
+    }
     validate_plan_request(&cfg.plan)?;
     // Resolve the whole roster up front so an unknown name fails before
     // any search runs.
@@ -629,6 +645,27 @@ mod tests {
             panic!("unknown policy must fail the tournament");
         };
         assert!(err.to_string().contains("unknown strategy"), "{err}");
+    }
+
+    #[test]
+    fn bad_market_size_is_invalid_argument() {
+        for bad in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            for (field, set) in [
+                (
+                    "market hours",
+                    (|c, v| c.market_hours = v) as fn(&mut TournamentConfig, f64),
+                ),
+                ("market step hours", |c, v| c.market_step_hours = v),
+            ] {
+                let mut cfg = small_config();
+                set(&mut cfg, bad);
+                let Err(err) = run_tournament(&cfg, &NullRecorder, None) else {
+                    panic!("{field} {bad} must fail the tournament");
+                };
+                assert_eq!(err.kind(), crate::proto::errkind::INVALID_ARGUMENT);
+                assert!(err.to_string().contains(field), "{field} {bad}: {err}");
+            }
+        }
     }
 
     #[test]

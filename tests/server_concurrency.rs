@@ -289,24 +289,43 @@ fn invalid_arguments_come_back_as_typed_errors() {
 
 #[test]
 fn out_of_domain_slack_is_a_typed_error_and_the_worker_survives() {
-    // Slack 1.5 used to reach an assert on the only worker thread; the
+    // Slack 1.5 used to reach an assert on the only worker thread, and
+    // an adaptive replay with a 0 h window used to spin it forever; each
     // request must come back as a typed error and the same worker must
-    // still serve the good request sent after it.
+    // still serve the good request sent after them.
     let (addr, _, handle, join) = start(Arc::new(NullRecorder), ephemeral(1));
-    let bad = PlanRequest {
+    let bad_slack = PlanRequest {
         slack: 1.5,
         ..small_plan_request()
     };
-    let bad_resp = client::call(&addr, &Request::Plan(bad)).expect("bad call");
+    let bad_window = ReplayRequest {
+        plan: small_plan_request(),
+        replicas: 2,
+        adaptive: true,
+        window_hours: 0.0,
+        ..Default::default()
+    };
+    let bad_resps = [
+        (
+            "slack",
+            client::call(&addr, &Request::Plan(bad_slack)).expect("bad call"),
+        ),
+        (
+            "window hours",
+            client::call(&addr, &Request::Replay(bad_window)).expect("bad call"),
+        ),
+    ];
     let good_resp = client::call(&addr, &Request::Plan(small_plan_request())).expect("good call");
     handle.stop();
     join.join().expect("server thread");
 
-    let Response::Error { kind, message, .. } = bad_resp else {
-        panic!("expected a typed error, got {bad_resp:?}");
-    };
-    assert_eq!(kind, "invalid-argument");
-    assert!(message.contains("slack"), "{message}");
+    for (field, bad_resp) in bad_resps {
+        let Response::Error { kind, message, .. } = bad_resp else {
+            panic!("expected a typed error, got {bad_resp:?}");
+        };
+        assert_eq!(kind, "invalid-argument");
+        assert!(message.contains(field), "{message}");
+    }
     let Response::Plan { report, .. } = good_resp else {
         panic!("expected a plan after the bad request, got {good_resp:?}");
     };

@@ -1,12 +1,12 @@
 //! Differential suite for warm-started incremental re-optimization
 //! (DESIGN.md §12): across a many-window study over the drifting stress
-//! market, every warm-start ablation setting, at every thread count, must
-//! select plans bit-identical to the cold single-threaded reference.
+//! market, warm starts with bucket-table reuse on and off, at every thread
+//! count, must select plans bit-identical to the cold single-threaded
+//! reference.
 //!
-//! The warm layers (incumbent seed + hot-first subset order, and
-//! per-`(group, bid)` bucket-table reuse) only change how fast the search
-//! converges — the total candidate order decides the winner either way —
-//! so any divergence here is an exactness bug, not noise.
+//! Per-`(group, bid)` bucket-table reuse only changes how fast the
+//! assessments build — the tables truncate bit-identically — so any
+//! divergence here is an exactness bug, not noise.
 
 use sompi_bench::{build_problem, npb_workload, stress_market, HISTORY_HOURS, TIGHT};
 use sompi_core::adaptive::AdaptiveConfig;
@@ -82,14 +82,12 @@ fn warm_plans_are_bit_identical_across_threads_and_ablations() {
     for threads in [1usize, 4, 0] {
         let cold = run_study(&problem, &views, threads, None);
         assert_eq!(cold, reference, "cold diverged at threads={threads}");
-        for (plan_on, tables_on) in [(true, true), (true, false), (false, true), (false, false)] {
-            let warm = WarmStart::new()
-                .with_plan_carryover(plan_on)
-                .with_table_reuse(tables_on);
+        for tables_on in [true, false] {
+            let warm = WarmStart::new().with_table_reuse(tables_on);
             let got = run_study(&problem, &views, threads, Some(warm));
             assert_eq!(
                 got, reference,
-                "warm(plan={plan_on}, tables={tables_on}) diverged at threads={threads}"
+                "warm(tables={tables_on}) diverged at threads={threads}"
             );
         }
     }
@@ -97,9 +95,8 @@ fn warm_plans_are_bit_identical_across_threads_and_ablations() {
 
 #[test]
 fn warm_state_survives_a_full_study_and_stays_exact_when_resumed() {
-    // Interrupting and resuming the carried state mid-study (as the
-    // adaptive loop does after an out-of-bid kill drops the seed) must
-    // not change any later selection.
+    // Dropping the carried tables mid-study and refilling them must not
+    // change any later selection.
     let (problem, views) = study();
     let reference = run_study(&problem, &views, 0, None);
 
@@ -113,12 +110,10 @@ fn warm_state_survives_a_full_study_and_stays_exact_when_resumed() {
     let mut got = Vec::with_capacity(views.len());
     for (i, view) in views.iter().enumerate() {
         if i == WINDOWS / 2 {
-            // Mid-study invalidation: seed dropped, tables kept.
-            warm.invalidate_plan();
-        }
-        if i == 3 * WINDOWS / 4 {
-            // Full reset: both layers restart from nothing.
+            // Mid-study reset: the cache restarts from nothing.
+            assert!(warm.cached_groups() > 0);
             warm.clear();
+            assert_eq!(warm.cached_groups(), 0);
         }
         got.push(
             TwoLevelOptimizer::new(&problem, view, cfg)
@@ -128,7 +123,6 @@ fn warm_state_survives_a_full_study_and_stays_exact_when_resumed() {
         );
     }
     assert_eq!(got, reference);
-    assert!(warm.has_plan());
     assert!(warm.cached_groups() > 0);
 }
 
@@ -145,7 +139,7 @@ fn adaptive_studies_are_bit_identical_under_every_ablation_and_thread_count() {
     let problem = build_problem(&market, &profile, 2.0);
     let ctx = ExecContext::new();
 
-    let outcome = |threads: usize, warmstart: bool, bucket_reuse: bool| {
+    let outcome = |threads: usize, bucket_reuse: bool| {
         let cfg = AdaptiveConfig {
             window_hours: 1.0,
             history_hours: HISTORY_HOURS,
@@ -155,20 +149,20 @@ fn adaptive_studies_are_bit_identical_under_every_ablation_and_thread_count() {
                 threads,
                 ..Default::default()
             },
-            warmstart,
             bucket_reuse,
+            ..Default::default()
         };
         let runner = AdaptiveRunner::new(&market, cfg);
         [60.0, 140.0].map(|start| runner.run(&problem, start, &ctx).expect("replay succeeds"))
     };
 
-    let reference = outcome(1, false, false);
+    let reference = outcome(1, false);
     for threads in [1usize, 4, 0] {
-        for (w, b) in [(true, true), (true, false), (false, true), (false, false)] {
+        for b in [true, false] {
             assert_eq!(
-                outcome(threads, w, b),
+                outcome(threads, b),
                 reference,
-                "adaptive outcome diverged at threads={threads}, warmstart={w}, bucket_reuse={b}"
+                "adaptive outcome diverged at threads={threads}, bucket_reuse={b}"
             );
         }
     }
