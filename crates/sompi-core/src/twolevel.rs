@@ -563,14 +563,16 @@ impl<'a> TwoLevelOptimizer<'a> {
         let chunk = |range: Range<usize>| {
             self.search_chunk(&options, &od, &subsets, range, &min_wall, shared, od_bound)
         };
-        // One contiguous range of canonical subset indices per worker.
+        // One contiguous range of canonical subset indices per worker
+        // (a single empty range when there are no subsets, so worker 0
+        // still reports).
         let per_worker = subsets.len().div_ceil(threads).max(1);
-        let ranges: Vec<Range<usize>> = (0..subsets.len())
+        let ranges: Vec<Range<usize>> = (0..subsets.len().max(1))
             .step_by(per_worker)
             .map(|lo| lo..(lo + per_worker).min(subsets.len()))
             .collect();
         let results: Vec<WorkerStats> = if threads <= 1 {
-            vec![chunk(0..subsets.len())]
+            ranges.into_iter().map(chunk).collect()
         } else if let Some(pool) = pool {
             // Persistent dispatch: same chunking, same submission-order
             // merge — the resident workers only replace the spawn/join.

@@ -106,31 +106,32 @@ pub fn app_profile(
 /// positive, `view_start_hours` finite and non-negative. NaN fails every
 /// check.
 pub(crate) fn validate_plan_request(req: &PlanRequest) -> Result<(), ServiceError> {
-    let checks = [
-        (
-            (0.0..1.0).contains(&req.slack),
-            "slack must be in [0, 1)",
-            req.slack,
-        ),
-        (
-            req.deadline_factor.is_finite() && req.deadline_factor > 0.0,
-            "deadline factor must be finite and positive",
-            req.deadline_factor,
-        ),
-        (
-            req.history_hours.is_finite() && req.history_hours > 0.0,
-            "history hours must be finite and positive",
-            req.history_hours,
-        ),
-        (
-            req.view_start_hours.is_finite() && req.view_start_hours >= 0.0,
-            "view start hours must be finite and non-negative",
-            req.view_start_hours,
-        ),
-    ];
-    match checks.into_iter().find(|(ok, _, _)| !ok) {
-        Some((_, what, got)) => Err(ServiceError::InvalidArgument(format!("{what}, got {got}"))),
-        None => Ok(()),
+    if !(0.0..1.0).contains(&req.slack) {
+        return Err(ServiceError::InvalidArgument(format!(
+            "slack must be in [0, 1), got {}",
+            req.slack
+        )));
+    }
+    finite_positive("deadline factor", req.deadline_factor)?;
+    finite_positive("history hours", req.history_hours)?;
+    if !(req.view_start_hours.is_finite() && req.view_start_hours >= 0.0) {
+        return Err(ServiceError::InvalidArgument(format!(
+            "view start hours must be finite and non-negative, got {}",
+            req.view_start_hours
+        )));
+    }
+    Ok(())
+}
+
+/// Reject a size or duration `v` (named `what` in the message) that is
+/// not finite and positive. NaN fails.
+pub(crate) fn finite_positive(what: &str, v: f64) -> Result<(), ServiceError> {
+    if v.is_finite() && v > 0.0 {
+        Ok(())
+    } else {
+        Err(ServiceError::InvalidArgument(format!(
+            "{what} must be finite and positive, got {v}"
+        )))
     }
 }
 
@@ -328,12 +329,7 @@ fn injector_from(
 /// a `window_hours` that is not finite and positive: such a window never
 /// advances the runner's clock. `warmstart` is passed through unread.
 fn adaptive_config(req: &ReplayRequest) -> Result<AdaptiveConfig, ServiceError> {
-    if !(req.window_hours.is_finite() && req.window_hours > 0.0) {
-        return Err(ServiceError::InvalidArgument(format!(
-            "window hours must be finite and positive, got {}",
-            req.window_hours
-        )));
-    }
+    finite_positive("window hours", req.window_hours)?;
     Ok(AdaptiveConfig {
         window_hours: req.window_hours,
         history_hours: req.plan.history_hours,

@@ -19,8 +19,8 @@
 
 use crate::proto::PlanRequest;
 use crate::service::{
-    app_profile, build_problem, optimizer_config, strategy_from, validate_plan_request, view_for,
-    ServiceError,
+    app_profile, build_problem, finite_positive, optimizer_config, strategy_from,
+    validate_plan_request, view_for, ServiceError,
 };
 use ec2_market::fault::{FaultInjector, FaultPlan, RetryPolicy};
 use ec2_market::instance::InstanceCatalog;
@@ -276,22 +276,8 @@ pub fn run_tournament(
             "tournament needs at least one fault case (use `none`)".into(),
         ));
     }
-    for (ok, what, got) in [
-        (
-            cfg.market_hours.is_finite() && cfg.market_hours > 0.0,
-            "market hours must be finite and positive",
-            cfg.market_hours,
-        ),
-        (
-            cfg.market_step_hours.is_finite() && cfg.market_step_hours > 0.0,
-            "market step hours must be finite and positive",
-            cfg.market_step_hours,
-        ),
-    ] {
-        if !ok {
-            return Err(ServiceError::InvalidArgument(format!("{what}, got {got}")));
-        }
-    }
+    finite_positive("market hours", cfg.market_hours)?;
+    finite_positive("market step hours", cfg.market_step_hours)?;
     validate_plan_request(&cfg.plan)?;
     // Resolve the whole roster up front so an unknown name fails before
     // any search runs.

@@ -81,11 +81,8 @@ fn accounting_consistent(total: f64, spot: f64, od: f64) -> bool {
 
 /// Zero out the wall-clock profiling fields (`assess_secs`,
 /// `search_secs`, `evals_per_sec`, `kernel_nanos`): they measure host
-/// time, not simulated time. Also zero the branch-and-bound effort
-/// counters (`evals_skipped`, `bound_tightenings`): with more than one
-/// search worker they depend on when each worker sees the shared
-/// incumbent bound (DESIGN.md §8.3). These are the only event payload
-/// allowed to differ between runs at different thread counts.
+/// time, not simulated time, and are the only event payload allowed to
+/// differ between identical runs.
 fn scrub_timings(mut events: Vec<Event>) -> Vec<Event> {
     for e in &mut events {
         if let Event::PlanSelected {
@@ -93,8 +90,6 @@ fn scrub_timings(mut events: Vec<Event>) -> Vec<Event> {
             search_secs,
             evals_per_sec,
             kernel_nanos,
-            evals_skipped,
-            bound_tightenings,
             ..
         } = e
         {
@@ -102,8 +97,6 @@ fn scrub_timings(mut events: Vec<Event>) -> Vec<Event> {
             *search_secs = 0.0;
             *evals_per_sec = 0.0;
             *kernel_nanos = 0;
-            *evals_skipped = 0;
-            *bound_tightenings = 0;
         }
     }
     events
