@@ -66,6 +66,13 @@ fn market_from_inner(args: &Args) -> Result<SpotMarket, CliError> {
             .map_err(|e| CliError::Other(format!("cannot read {path}: {e}")))?;
         let events =
             ec2_market::feed::parse_feed(&text).map_err(|e| CliError::Other(e.to_string()))?;
+        // Every group's resampled trace spans at most the whole feed.
+        let (first, last) = events
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), e| {
+                (lo.min(e.timestamp_s), hi.max(e.timestamp_s))
+            });
+        within_sample_budget((last - first) / 3600.0, step)?;
         let catalog = InstanceCatalog::paper_2014();
         let mut market = SpotMarket::new(catalog.clone());
         for ((ty_name, zone_name), trace) in ec2_market::feed::traces_by_group(&events, step) {
@@ -84,6 +91,7 @@ fn market_from_inner(args: &Args) -> Result<SpotMarket, CliError> {
     } else {
         let seed = args.u64_or("seed", 42)?;
         let hours = positive_hours(args, "hours", 336.0)?;
+        within_sample_budget(hours, step)?;
         let catalog = InstanceCatalog::paper_2014();
         let profile = MarketProfile::paper_2014(&catalog);
         Ok(SpotMarket::generate(
@@ -93,6 +101,12 @@ fn market_from_inner(args: &Args) -> Result<SpotMarket, CliError> {
             step,
         ))
     }
+}
+
+/// Refuse a market of `hours` at `step` whose traces would exceed the
+/// per-group sample limit, before anything is allocated.
+fn within_sample_budget(hours: f64, step: f64) -> Result<(), CliError> {
+    ec2_market::trace::check_sample_budget(hours, step).map_err(|e| CliError::Other(e.to_string()))
 }
 
 fn parse_zone(name: &str) -> Result<AvailabilityZone, CliError> {
@@ -155,6 +169,29 @@ mod tests {
         let err =
             market_from(&args(&["--feed", path.to_str().unwrap(), "--step", "0"])).unwrap_err();
         assert!(err.to_string().starts_with("--step"), "{err}");
+    }
+
+    #[test]
+    fn oversized_markets_are_refused_naming_the_limit() {
+        let err = market_from(&args(&["--step", "1e-9", "--hours", "1"])).unwrap_err();
+        assert!(
+            err.to_string().contains("trace sample limit of 1000000"),
+            "{err}"
+        );
+        // Feed resampling is held to the same limit: two events a year
+        // apart at a one-second step.
+        let dir = std::env::temp_dir().join("sompi-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("feed-budget.txt");
+        std::fs::write(
+            &path,
+            "0 m1.small us-east-1a 0.01\n31536000 m1.small us-east-1a 0.02\n",
+        )
+        .unwrap();
+        let feed = path.to_str().unwrap();
+        let err = market_from(&args(&["--feed", feed, "--step", "0.0003"])).unwrap_err();
+        assert!(err.to_string().contains("trace sample limit"), "{err}");
+        assert!(market_from(&args(&["--feed", feed, "--step", "1"])).is_ok());
     }
 
     #[test]

@@ -59,7 +59,9 @@ COMMON FLAGS:
     --no-bucket-reuse          disable the adaptive re-optimizer's bucket-table
                                reuse (ablation; plans and outcomes never
                                change, only re-plan wall-clock)
-    --seed N --hours H --step H         synthetic market shape
+    --seed N --hours H --step H         synthetic market shape; hours / step
+                               (or a --feed's span / step) is capped at
+                               10^6 samples per circle group
     --feed FILE                import AWS spot price history instead
     --history H                planning history window, hours (default 48)
     --replicas N --mc-seed N   Monte-Carlo controls

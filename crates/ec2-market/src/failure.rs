@@ -126,28 +126,34 @@ impl FailureRateFn {
     }
 }
 
-/// Raw integer first-passage counts behind a [`FailureRateFn`]: how many
-/// admissible start points failed in each hour bucket, how many survived
-/// the horizon, and how many were usable at all.
+/// The fused first-passage table of one circle group at one bid: how
+/// many admissible start points first went out of bid in each hour
+/// bucket, how many never did, how many were usable at all, and the
+/// expected launch delay — everything a failure estimate needs, from one
+/// backward walk over the history ([`FailureEstimator::failure_table`]).
 ///
-/// Keeping the *integer* counts (rather than the normalized probabilities)
-/// makes horizon truncation exact: a count recorded at sample offset
-/// `k ≤ h·sph` lands in the same hour bucket for any horizon `≥ h`, and
-/// counts past `h·sph` fold into the survivors, so
-/// [`FailureCounts::to_fn`] reproduces `failure_rate_exact(bid, h)` bit
-/// for bit for every `h` up to the recorded horizon. This is what lets
-/// warm-started re-optimization reuse one table across adaptive windows
-/// whose residual horizons shrink.
+/// On a circular history of `n` samples every *finite* first passage is
+/// at most `n` samples long, so `⌈n / samples_per_hour⌉` buckets record
+/// every passage there is, and the table serves *any* horizon exactly
+/// ([`FailureCounts::to_fn`]). Keeping the *integer* counts (rather than
+/// the normalized probabilities) makes that exact: a passage of
+/// `k ≤ h·sph` samples lands in the same hour bucket at every horizon
+/// `≥ h`, longer passages fold into the survivors, and a horizon past the
+/// recorded buckets only pads zero buckets. This is what lets one table
+/// per `(group, bid)` serve `φ(P)`, every assessment horizon, and every
+/// adaptive window whose history is unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureCounts {
     bid: Usd,
     /// `buckets[t]` = number of admissible starts whose first out-of-bid
-    /// event landed in hour `[t, t+1)`.
+    /// event landed in hour `[t, t+1)`, over every finite passage.
     buckets: Vec<u64>,
-    /// Starts that survived the full recorded horizon.
+    /// Starts that never go out of bid (the bid covers the whole history).
     survived: u64,
     /// Admissible starts (price at or below the bid).
     used: u64,
+    /// Expected wait before the price first admits the bid.
+    launch_delay: Hours,
 }
 
 impl FailureCounts {
@@ -156,27 +162,34 @@ impl FailureCounts {
         self.bid
     }
 
-    /// The recorded horizon in hours — the largest horizon `to_fn` serves.
-    pub fn horizon(&self) -> usize {
-        self.buckets.len()
+    /// The expected launch delay at this bid, hours — the value
+    /// [`FailureEstimator::expected_launch_delay`] returns.
+    pub fn launch_delay(&self) -> Hours {
+        self.launch_delay
     }
 
-    /// Normalize into the failure-rate function for `horizon_hours`,
-    /// truncating exactly: the result is bit-identical to
-    /// `failure_rate_exact(bid, horizon_hours)` on the same history.
+    /// Normalize into the failure-rate function for `horizon_hours`:
+    /// truncated (later buckets fold into the survivors) or zero-padded,
+    /// and bit-identical to the per-start scan at that horizon either way.
     ///
     /// # Panics
-    /// Panics when `horizon_hours` is zero or exceeds the recorded horizon.
+    /// Panics when `horizon_hours` is zero.
     pub fn to_fn(&self, horizon_hours: usize) -> FailureRateFn {
         assert!(horizon_hours > 0, "horizon must be positive");
-        assert!(
-            horizon_hours <= self.buckets.len(),
-            "horizon {horizon_hours} exceeds recorded horizon {}",
-            self.buckets.len()
-        );
-        let buckets = self.buckets[..horizon_hours].to_vec();
-        let survived = self.survived + self.buckets[horizon_hours..].iter().sum::<u64>();
-        FailureEstimator::finish(self.bid, horizon_hours, buckets, survived, self.used)
+        if self.used == 0 {
+            // The bid never admits a launch; model it as immediate failure,
+            // which the optimizer prices as "this circle group is useless".
+            let mut b = vec![0.0; horizon_hours];
+            b[0] = 1.0;
+            return FailureRateFn::new(self.bid, b, 0.0);
+        }
+        let used = self.used as f64;
+        let kept = horizon_hours.min(self.buckets.len());
+        let mut buckets = Vec::with_capacity(horizon_hours);
+        buckets.extend(self.buckets[..kept].iter().map(|&c| c as f64 / used));
+        buckets.resize(horizon_hours, 0.0);
+        let survived = self.survived + self.buckets[kept..].iter().sum::<u64>();
+        FailureRateFn::new(self.bid, buckets, survived as f64 / used)
     }
 }
 
@@ -318,18 +331,9 @@ impl FailureEstimator {
     /// random time and the spot price first being at or below `bid` — the
     /// paper's "otherwise it waits" launch semantics. Zero when the bid
     /// covers the whole history; the full window duration when the bid
-    /// never admits a launch.
+    /// never admits a launch. A read of [`FailureEstimator::failure_table`].
     pub fn expected_launch_delay(&self, bid: Usd) -> Hours {
-        let n = self.prices.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let dist = circular_distance_to_next(&self.prices, |p| p <= bid);
-        if dist.contains(&u32::MAX) {
-            return self.step_hours * n as f64;
-        }
-        let total: f64 = dist.iter().map(|&d| d as f64).sum();
-        total / n as f64 * self.step_hours
+        self.failure_table(bid).launch_delay()
     }
 
     /// Exhaustive estimator: every sample of the history serves as a start
@@ -338,26 +342,19 @@ impl FailureEstimator {
     /// horizon. Start points where the price already exceeds the bid (the
     /// instance cannot launch) are skipped, matching the paper's bidding
     /// semantics: "if the bid price is higher than the spot price, the
-    /// instance can be successfully launched; otherwise it waits".
+    /// instance can be successfully launched; otherwise it waits". A read
+    /// of [`FailureEstimator::failure_table`].
     pub fn failure_rate_exact(&self, bid: Usd, horizon_hours: usize) -> FailureRateFn {
-        let starts = 0..self.prices.len();
-        self.estimate(bid, horizon_hours, starts)
+        self.failure_table(bid).to_fn(horizon_hours)
     }
 
-    /// Exhaustive first-passage counts at `bid` over `horizon_hours`,
-    /// before normalization. `counts.to_fn(h)` for any `h ≤ horizon_hours`
-    /// is bit-identical to `failure_rate_exact(bid, h)`, which makes the
-    /// counts reusable across shrinking horizons without re-walking the
-    /// history.
-    pub fn failure_counts(&self, bid: Usd, horizon_hours: usize) -> FailureCounts {
-        let starts = 0..self.prices.len();
-        let (buckets, survived, used) = self.count(bid, horizon_hours, starts);
-        FailureCounts {
-            bid,
-            buckets,
-            survived,
-            used,
-        }
+    /// The fused first-passage table at `bid`: exhaustive integer counts
+    /// that serve `failure_rate_exact(bid, h)` bit for bit at every
+    /// horizon `h`, plus the expected launch delay, from one walk over
+    /// the history. Callers that need several horizons, or a horizon and
+    /// the launch delay, build it once.
+    pub fn failure_table(&self, bid: Usd) -> FailureCounts {
+        self.count(bid, |_| 1)
     }
 
     /// The paper's Monte-Carlo estimator with `g` random start points.
@@ -371,156 +368,100 @@ impl FailureEstimator {
         assert!(g > 0, "need at least one sample");
         let mut rng = StdRng::seed_from_u64(seed);
         let n = self.prices.len();
-        let starts: Vec<usize> = (0..g).map(|_| rng.gen_range(0..n)).collect();
-        self.estimate(bid, horizon_hours, starts.into_iter())
-    }
-
-    fn estimate(
-        &self,
-        bid: Usd,
-        horizon_hours: usize,
-        starts: impl Iterator<Item = usize>,
-    ) -> FailureRateFn {
-        let (buckets, survived, used) = self.count(bid, horizon_hours, starts);
-        Self::finish(bid, horizon_hours, buckets, survived, used)
-    }
-
-    /// The shared counting core of `estimate`/`failure_counts`: integer
-    /// bucket counts, survivors, and usable starts.
-    fn count(
-        &self,
-        bid: Usd,
-        horizon_hours: usize,
-        starts: impl Iterator<Item = usize>,
-    ) -> (Vec<u64>, u64, u64) {
-        assert!(horizon_hours > 0, "horizon must be positive");
-        let n = self.prices.len();
-        let samples_per_hour = (1.0 / self.step_hours).round().max(1.0) as usize;
-        let horizon_samples = horizon_hours * samples_per_hour;
-
-        // Distance (in samples) from each index to the first out-of-bid
-        // sample at or after it; `u32::MAX` when the bid is never
-        // exceeded. The O(n) precompute replaces an O(horizon) probe loop
-        // *per start point*, which made `failure_rate_exact`
-        // O(n · horizon).
-        let dist = circular_distance_to_next(&self.prices, |p| p > bid);
-
-        let mut buckets = vec![0u64; horizon_hours];
-        let mut survived = 0u64;
-        let mut used = 0u64;
-        for s in starts {
-            if self.prices[s] > bid {
-                continue; // cannot launch here
-            }
-            used += 1;
-            // The first strictly-after-`s` sample above the bid is
-            // `dist[(s+1) % n] + 1` steps ahead — exactly the `k` the
-            // replaced linear probe found, so the integer bucket counts are
-            // bit-identical to the scan (kept below as a test reference).
-            let k = match dist[(s + 1) % n] {
-                u32::MAX => usize::MAX,
-                d => d as usize + 1,
-            };
-            if k <= horizon_samples {
-                let hour = ((k - 1) / samples_per_hour).min(horizon_hours - 1);
-                buckets[hour] += 1;
-            } else {
-                survived += 1;
-            }
+        // A start drawn `m` times counts `m` times, exactly as if each
+        // draw were walked separately.
+        let mut draws = vec![0u64; n];
+        for _ in 0..g {
+            draws[rng.gen_range(0..n)] += 1;
         }
-
-        (buckets, survived, used)
+        self.count(bid, |s| draws[s]).to_fn(horizon_hours)
     }
 
-    /// The original per-start probe loop, retained verbatim as the
-    /// reference implementation the O(n) carry rewrite is differentially
-    /// tested against.
-    #[cfg(test)]
-    fn estimate_by_scan(
-        &self,
-        bid: Usd,
-        horizon_hours: usize,
-        starts: impl Iterator<Item = usize>,
-    ) -> FailureRateFn {
-        assert!(horizon_hours > 0, "horizon must be positive");
-        let n = self.prices.len();
-        let samples_per_hour = (1.0 / self.step_hours).round().max(1.0) as usize;
-        let horizon_samples = horizon_hours * samples_per_hour;
-        let mut buckets = vec![0u64; horizon_hours];
-        let mut survived = 0u64;
-        let mut used = 0u64;
+    /// Samples per hour bucket (at least one).
+    fn samples_per_hour(&self) -> usize {
+        (1.0 / self.step_hours).round().max(1.0) as usize
+    }
 
-        for s in starts {
-            if self.prices[s] > bid {
-                continue; // cannot launch here
-            }
-            used += 1;
-            let mut failed = false;
-            for k in 1..=horizon_samples {
-                let p = self.prices[(s + k) % n];
-                if p > bid {
-                    let hour = ((k - 1) / samples_per_hour).min(horizon_hours - 1);
-                    buckets[hour] += 1;
-                    failed = true;
-                    break;
+    /// The one counting pass: a single backward walk over the circular
+    /// history that weights each admissible start `s` by `weight(s)` and
+    /// buckets its first passage `k` (samples until the first price
+    /// strictly above the bid) into hour `(k − 1) / samples_per_hour`,
+    /// while summing each sample's wait until the next admissible price.
+    /// The walk carries the passage's hour and in-hour offset and the
+    /// wait from each sample to the one before it, so there is no
+    /// distance array and no per-start division. Both carries start from
+    /// the wrap-around: the first out-of-bid and first admissible sample.
+    fn count(&self, bid: Usd, weight: impl Fn(usize) -> u64) -> FailureCounts {
+        let prices = &self.prices;
+        let n = prices.len();
+        let per_hour = self.samples_per_hour();
+        let mut buckets = vec![0u64; n.div_ceil(per_hour)];
+        let first_out = prices.iter().position(|&p| p > bid);
+        let first_in = prices.iter().position(|&p| p <= bid);
+        let (Some(first_out), Some(first_in)) = (first_out, first_in) else {
+            // Every sample admits the bid (every start survives, nothing
+            // waits) or none does (nothing launches, every request waits
+            // out the whole window).
+            let used = match first_in {
+                Some(_) => (0..n).map(&weight).sum(),
+                None => 0,
+            };
+            let launch_delay = match first_in {
+                Some(_) => 0.0,
+                None => self.step_hours * n as f64,
+            };
+            return FailureCounts {
+                bid,
+                buckets,
+                survived: used,
+                used,
+                launch_delay,
+            };
+        };
+        // From the last sample, the next out-of-bid sample is `first_out`
+        // past the wrap: a passage of `first_out + 1` samples, whose
+        // offset `k − 1` is carried as `hour · per_hour + offset`.
+        let (mut hour, mut offset) = (first_out / per_hour, first_out % per_hour);
+        // Wait (samples) from the sample after the current one to the next
+        // admissible price; past the last sample that is `first_in`.
+        let mut wait = first_in as u64;
+        let mut used = 0u64;
+        let mut waited = 0u64;
+        for s in (0..n).rev() {
+            if prices[s] > bid {
+                wait += 1;
+                waited += wait;
+                (hour, offset) = (0, 0);
+            } else {
+                let w = weight(s);
+                used += w;
+                buckets[hour] += w;
+                wait = 0;
+                offset += 1;
+                if offset == per_hour {
+                    (hour, offset) = (hour + 1, 0);
                 }
             }
-            if !failed {
-                survived += 1;
-            }
         }
-
-        Self::finish(bid, horizon_hours, buckets, survived, used)
-    }
-
-    fn finish(
-        bid: Usd,
-        horizon_hours: usize,
-        buckets: Vec<u64>,
-        survived: u64,
-        used: u64,
-    ) -> FailureRateFn {
-        if used == 0 {
-            // The bid never admits a launch; model it as immediate failure,
-            // which the optimizer prices as "this circle group is useless".
-            let mut b = vec![0.0; horizon_hours];
-            b[0] = 1.0;
-            return FailureRateFn::new(bid, b, 0.0);
-        }
-        let buckets = buckets
-            .into_iter()
-            .map(|c| c as f64 / used as f64)
-            .collect();
-        FailureRateFn::new(bid, buckets, survived as f64 / used as f64)
-    }
-}
-
-/// For each sample `i` of a circular history, the distance in samples to
-/// the first sample at or after `i` (wrapping past the end) that satisfies
-/// `matches`; `u32::MAX` when no sample does. One backward walk carries
-/// the nearest match; a second walk resolves the wrap-around — O(n).
-fn circular_distance_to_next(prices: &[Usd], matches: impl Fn(Usd) -> bool) -> Vec<u32> {
-    let n = prices.len();
-    let mut dist = vec![u32::MAX; n];
-    let mut next: Option<usize> = None;
-    for _pass in 0..2 {
-        for i in (0..n).rev() {
-            if matches(prices[i]) {
-                next = Some(i);
-            }
-            if let Some(j) = next {
-                let d = if j >= i { j - i } else { j + n - i };
-                dist[i] = dist[i].min(d as u32);
-            }
+        // The integer wait sum is exact in `f64`, so this equals summing
+        // the per-sample waits as floats in any order.
+        let launch_delay = waited as f64 / n as f64 * self.step_hours;
+        FailureCounts {
+            bid,
+            buckets,
+            survived: 0,
+            used,
+            launch_delay,
         }
     }
-    dist
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::SpotTrace;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn estimator(prices: &[f64], step: f64) -> FailureEstimator {
         let t = SpotTrace::new(step, prices.to_vec());
@@ -659,115 +600,216 @@ mod tests {
         assert!((mttf - 4.0).abs() < 0.6, "mttf {mttf}");
     }
 
-    #[test]
-    fn carry_estimate_matches_scan_reference() {
-        // The O(n) distance-carry rewrite must reproduce the original
-        // O(n·horizon) probe loop bit for bit — same integer bucket counts,
-        // so the same float divisions. Exercise generated traces (sub-hour
-        // steps, wrap-around) and degenerate hand traces at several bids.
-        let gen = crate::tracegen::TraceGenConfig::preset(
-            0.05,
-            crate::tracegen::ZoneVolatility::Volatile,
-        )
-        .generate(120.0, 1.0 / 12.0, 23);
-        let estimators = [
-            estimator(gen.samples(), 1.0 / 12.0),
-            estimator(&[0.1; 5], 1.0),
-            estimator(&[0.4], 1.0),
-            estimator(&[9.0, 9.0, 0.1, 9.0, 0.1, 0.1], 0.5),
-        ];
-        for e in &estimators {
-            let max = e.max_price();
-            for bid in [0.0, 0.05, 0.09, 0.3, max, max * 2.0] {
-                for horizon in [1usize, 7, 24, 400] {
-                    let fast = e.estimate(bid, horizon, 0..e.prices.len());
-                    let slow = e.estimate_by_scan(bid, horizon, 0..e.prices.len());
-                    assert_eq!(fast, slow, "bid {bid} horizon {horizon}");
-                }
+    /// The per-start probe loop the fused table replaced, kept as the
+    /// oracle: walk forward from every start until the price first
+    /// exceeds the bid or the horizon runs out.
+    fn estimate_by_scan(
+        e: &FailureEstimator,
+        bid: Usd,
+        horizon_hours: usize,
+        starts: impl Iterator<Item = usize>,
+    ) -> FailureRateFn {
+        let n = e.prices.len();
+        let samples_per_hour = e.samples_per_hour();
+        let horizon_samples = horizon_hours * samples_per_hour;
+        let mut buckets = vec![0u64; horizon_hours];
+        let mut survived = 0u64;
+        let mut used = 0u64;
+        for s in starts {
+            if e.prices[s] > bid {
+                continue; // cannot launch here
             }
-            // Sampled start points go through the same code path.
-            let fast = e.failure_rate_sampled(0.08, 12, 200, 5);
-            let slow = e.estimate_by_scan(0.08, 12, {
-                use rand::rngs::StdRng;
-                use rand::{Rng, SeedableRng};
-                let mut rng = StdRng::seed_from_u64(5);
-                let n = e.prices.len();
-                let starts: Vec<usize> = (0..200).map(|_| rng.gen_range(0..n)).collect();
-                starts.into_iter()
-            });
-            assert_eq!(fast, slow);
+            used += 1;
+            match (1..=horizon_samples).find(|&k| e.prices[(s + k) % n] > bid) {
+                Some(k) => buckets[(k - 1) / samples_per_hour] += 1,
+                None => survived += 1,
+            }
+        }
+        if used == 0 {
+            let mut b = vec![0.0; horizon_hours];
+            b[0] = 1.0;
+            return FailureRateFn::new(bid, b, 0.0);
+        }
+        let buckets = buckets
+            .into_iter()
+            .map(|c| c as f64 / used as f64)
+            .collect();
+        FailureRateFn::new(bid, buckets, survived as f64 / used as f64)
+    }
+
+    /// Naive launch delay: from every sample, probe forward for the first
+    /// admissible price; the whole window when some sample never finds one.
+    fn launch_delay_by_probe(e: &FailureEstimator, bid: Usd) -> Hours {
+        let n = e.prices.len();
+        let mut total = 0.0;
+        for i in 0..n {
+            match (0..n).find(|&d| e.prices[(i + d) % n] <= bid) {
+                Some(d) => total += d as f64,
+                None => return e.step_hours * n as f64,
+            }
+        }
+        total / n as f64 * e.step_hours
+    }
+
+    /// Bids worth probing on a history: below, at and between every
+    /// distinct price, and above the maximum.
+    fn probe_bids(prices: &[f64]) -> Vec<f64> {
+        let mut levels = prices.to_vec();
+        levels.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        levels.dedup();
+        let mut bids = vec![0.0, levels[0] * 0.5];
+        for w in levels.windows(2) {
+            bids.push(w[0]);
+            bids.push((w[0] + w[1]) / 2.0);
+        }
+        bids.push(*levels.last().unwrap());
+        bids.push(levels.last().unwrap() * 2.0);
+        bids
+    }
+
+    /// Compare one history's fused tables against both oracles at every
+    /// probe bid and every horizon up to twice the history's length.
+    fn assert_table_matches_oracles(e: &FailureEstimator) {
+        let n = e.prices.len();
+        let history_hours = n.div_ceil(e.samples_per_hour());
+        for bid in probe_bids(&e.prices) {
+            let table = e.failure_table(bid);
+            assert_eq!(table.bid(), bid);
+            assert_eq!(
+                table.launch_delay().to_bits(),
+                launch_delay_by_probe(e, bid).to_bits(),
+                "launch delay, bid {bid}, n {n}"
+            );
+            for h in 1..=2 * history_hours {
+                assert_eq!(
+                    table.to_fn(h),
+                    estimate_by_scan(e, bid, h, 0..n),
+                    "bid {bid} horizon {h} n {n}"
+                );
+            }
         }
     }
 
     #[test]
-    fn circular_distance_matches_a_forward_probe() {
-        // Both predicates the estimator uses — admissible (`<= bid`) and
-        // out-of-bid (`> bid`) — against a naive walk from every index.
-        let prices = [0.3, 0.1, 0.5, 0.5, 0.2, 0.9, 0.1];
-        for bid in [0.0, 0.1, 0.25, 0.5, 1.0] {
-            let admissible = |p: Usd| p <= bid;
-            let out_of_bid = |p: Usd| p > bid;
-            for (pred, name) in [
-                (&admissible as &dyn Fn(Usd) -> bool, "<="),
-                (&out_of_bid, ">"),
-            ] {
-                let n = prices.len();
-                let probe: Vec<u32> = (0..n)
-                    .map(|i| {
-                        (0..n)
-                            .find(|&d| pred(prices[(i + d) % n]))
-                            .map_or(u32::MAX, |d| d as u32)
-                    })
-                    .collect();
-                assert_eq!(
-                    circular_distance_to_next(&prices, pred),
-                    probe,
-                    "bid {bid} {name}"
-                );
-            }
+    fn fused_table_matches_scan_oracle_on_random_histories() {
+        // Few price levels so bids tie with prices; steps whose samples
+        // per hour (12, 7, 2, 1, 1) rarely divide the history length.
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..100 {
+            let step = [1.0 / 12.0, 1.0 / 7.0, 0.5, 1.0, 2.0][case % 5];
+            let n = rng.gen_range(1..64);
+            let levels = rng.gen_range(1..6);
+            let prices: Vec<f64> = (0..n)
+                .map(|_| 0.01 * (1 + rng.gen_range(0..levels)) as f64)
+                .collect();
+            assert_table_matches_oracles(&estimator(&prices, step));
         }
-        assert!(circular_distance_to_next(&[], |_| true).is_empty());
+    }
+
+    #[test]
+    fn fused_table_matches_scan_oracle_on_degenerate_histories() {
+        // 25 samples at 12 per hour: the last bucket is partial.
+        let mut ragged = vec![0.1; 25];
+        ragged[3] = 0.9;
+        ragged[24] = 0.9;
+        for (prices, step) in [
+            (vec![0.1; 25], 1.0 / 12.0),               // constant price
+            (vec![0.4], 1.0),                          // a single sample
+            (vec![0.4], 1.0 / 12.0),                   // ...at sub-hour steps
+            (ragged, 1.0 / 12.0),                      // sph does not divide n
+            (vec![9.0, 9.0, 0.1, 9.0, 0.1, 0.1], 0.5), // wrap-around runs
+            (vec![0.3, 0.1, 0.5, 0.5, 0.2, 0.9, 0.1], 1.0),
+        ] {
+            assert_table_matches_oracles(&estimator(&prices, step));
+        }
+        // Every price above the bid, and every price at or below it.
+        let e = estimator(&[0.2, 0.3, 0.25], 1.0 / 12.0);
+        let none = e.failure_table(0.1);
+        assert_eq!(none.launch_delay(), 0.25);
+        assert_eq!(none.to_fn(3), estimate_by_scan(&e, 0.1, 3, 0..3));
+        assert_eq!(none.to_fn(3).survival(), 0.0);
+        let all = e.failure_table(0.3);
+        assert_eq!(all.launch_delay(), 0.0);
+        assert_eq!(all.to_fn(5), estimate_by_scan(&e, 0.3, 5, 0..3));
+        assert_eq!(all.to_fn(5).survival(), 1.0);
+    }
+
+    /// A generated trace (sub-hour steps, wrap-around) and degenerate
+    /// hand traces.
+    fn fixtures(seed: u64) -> [FailureEstimator; 4] {
+        let gen = crate::tracegen::TraceGenConfig::preset(
+            0.05,
+            crate::tracegen::ZoneVolatility::Volatile,
+        )
+        .generate(120.0, 1.0 / 12.0, seed);
+        [
+            estimator(gen.samples(), 1.0 / 12.0),
+            estimator(&[0.1; 5], 1.0),
+            estimator(&[0.4], 1.0),
+            estimator(&[9.0, 9.0, 0.1, 9.0, 0.1, 0.1], 0.5),
+        ]
+    }
+
+    #[test]
+    fn carry_estimate_matches_scan_reference() {
+        // Exhaustive and sampled start points both go through the fused
+        // pass and must reproduce the per-start probe loop bit for bit —
+        // the same integer counts, so the same float divisions.
+        for e in &fixtures(23) {
+            let n = e.prices.len();
+            let max = e.max_price();
+            for bid in [0.0, 0.05, 0.09, 0.3, max, max * 2.0] {
+                let slow = estimate_by_scan(e, bid, 24, 0..n);
+                assert_eq!(e.failure_rate_exact(bid, 24), slow, "bid {bid}");
+            }
+            let mut rng = StdRng::seed_from_u64(5);
+            let starts: Vec<usize> = (0..200).map(|_| rng.gen_range(0..n)).collect();
+            let slow = estimate_by_scan(e, 0.08, 12, starts.into_iter());
+            assert_eq!(e.failure_rate_sampled(0.08, 12, 200, 5), slow);
+        }
+    }
+
+    #[test]
+    fn launch_delay_matches_a_forward_probe() {
+        let e = estimator(&[0.3, 0.1, 0.5, 0.5, 0.2, 0.9, 0.1], 1.0);
+        for bid in [0.0, 0.1, 0.25, 0.5, 1.0] {
+            let probe = launch_delay_by_probe(&e, bid);
+            assert_eq!(e.expected_launch_delay(bid).to_bits(), probe.to_bits());
+        }
     }
 
     #[test]
     fn truncated_counts_match_direct_estimation() {
-        // `failure_counts(bid, H).to_fn(h)` must be bit-identical to
-        // `failure_rate_exact(bid, h)` for every h ≤ H — the exactness
-        // contract warm-started re-optimization relies on. Cover generated
-        // traces, degenerate traces, unlaunchable bids, and h == H.
-        let gen = crate::tracegen::TraceGenConfig::preset(
-            0.05,
-            crate::tracegen::ZoneVolatility::Volatile,
-        )
-        .generate(120.0, 1.0 / 12.0, 29);
-        let estimators = [
-            estimator(gen.samples(), 1.0 / 12.0),
-            estimator(&[0.1; 5], 1.0),
-            estimator(&[0.4], 1.0),
-            estimator(&[9.0, 9.0, 0.1, 9.0, 0.1, 0.1], 0.5),
-        ];
-        for e in &estimators {
+        // One table per bid serves every horizon — shorter, equal to and
+        // longer than the history — exactly as the per-start scan does:
+        // the contract table reuse relies on. Unlaunchable bids included.
+        for e in &fixtures(29) {
             let max = e.max_price();
             for bid in [0.0, 0.05, 0.09, 0.3, max, max * 2.0] {
-                let counts = e.failure_counts(bid, 400);
-                assert_eq!(counts.horizon(), 400);
-                assert_eq!(counts.bid(), bid);
-                for horizon in [1usize, 2, 7, 24, 399, 400] {
-                    assert_eq!(
-                        counts.to_fn(horizon),
-                        e.failure_rate_exact(bid, horizon),
-                        "bid {bid} horizon {horizon}"
-                    );
+                let table = e.failure_table(bid);
+                for horizon in [1usize, 2, 7, 10, 24, 399, 400] {
+                    let slow = estimate_by_scan(e, bid, horizon, 0..e.prices.len());
+                    assert_eq!(table.to_fn(horizon), slow, "bid {bid} horizon {horizon}");
                 }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "exceeds recorded horizon")]
-    fn truncated_counts_reject_longer_horizons() {
-        let e = estimator(&[0.1; 5], 1.0);
-        e.failure_counts(0.2, 4).to_fn(5);
+    fn longer_horizons_pad_exactly() {
+        // 10 samples at 2 per hour: every passage fits in 5 buckets, so
+        // longer horizons only append zero buckets, with the same
+        // survivors, and still match the scan.
+        let e = estimator(&[0.1, 0.1, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1, 0.9, 0.1], 0.5);
+        let table = e.failure_table(0.5);
+        let recorded = table.to_fn(5);
+        for h in [6usize, 7, 50] {
+            let padded = table.to_fn(h);
+            assert_eq!(padded, estimate_by_scan(&e, 0.5, h, 0..10), "horizon {h}");
+            assert_eq!(&padded.buckets()[..5], recorded.buckets());
+            assert!(padded.buckets()[5..].iter().all(|&p| p == 0.0));
+            assert_eq!(padded.survival(), recorded.survival());
+        }
     }
 
     #[test]

@@ -10,6 +10,53 @@
 use crate::{Hours, Usd};
 use serde::{DeError, Deserialize, Serialize, Value};
 
+/// Most price samples one trace may hold, i.e. per circle group. Every
+/// market size taken from a request (`hours / step`) is checked against
+/// it by [`check_sample_budget`] before any trace is allocated.
+pub const MAX_TRACE_SAMPLES: u64 = 1_000_000;
+
+/// A market size whose traces would each exceed [`MAX_TRACE_SAMPLES`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SampleBudgetExceeded {
+    /// Requested trace length, hours.
+    pub hours: Hours,
+    /// Requested sampling step, hours.
+    pub step_hours: Hours,
+}
+
+impl std::fmt::Display for SampleBudgetExceeded {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} h at a {} h step needs {} samples per circle group, over the \
+             trace sample limit of {MAX_TRACE_SAMPLES}",
+            self.hours,
+            self.step_hours,
+            (self.hours / self.step_hours).ceil()
+        )
+    }
+}
+
+impl std::error::Error for SampleBudgetExceeded {}
+
+/// Check that traces of `hours` sampled every `step_hours` stay within
+/// [`MAX_TRACE_SAMPLES`] samples per circle group. A NaN size fails.
+///
+/// ```
+/// use ec2_market::trace::check_sample_budget;
+///
+/// assert!(check_sample_budget(336.0, 1.0 / 12.0).is_ok());
+/// let err = check_sample_budget(1.0, 1e-9).unwrap_err();
+/// assert!(err.to_string().contains("1000000"));
+/// ```
+pub fn check_sample_budget(hours: Hours, step_hours: Hours) -> Result<(), SampleBudgetExceeded> {
+    if (hours / step_hours).ceil() <= MAX_TRACE_SAMPLES as f64 {
+        Ok(())
+    } else {
+        Err(SampleBudgetExceeded { hours, step_hours })
+    }
+}
+
 /// A uniformly sampled spot price time series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpotTrace {
@@ -118,13 +165,18 @@ impl SpotTrace {
     /// The window is clamped to the trace bounds; it always contains at
     /// least one sample.
     pub fn window(&self, start: Hours, len_hours: Hours) -> TraceWindow<'_> {
-        let lo = self.index_at(start.max(0.0));
-        let want = (len_hours / self.step_hours).ceil() as usize;
-        let hi = (lo + want.max(1)).min(self.prices.len());
         TraceWindow {
             step_hours: self.step_hours,
-            prices: &self.prices[lo..hi],
+            prices: &self.prices[self.window_range(start, len_hours)],
         }
+    }
+
+    /// The sample indices [`SpotTrace::window`] covers: two windows over
+    /// one trace hold the same history exactly when their ranges match.
+    pub fn window_range(&self, start: Hours, len_hours: Hours) -> std::ops::Range<usize> {
+        let lo = self.index_at(start.max(0.0));
+        let want = (len_hours / self.step_hours).ceil() as usize;
+        lo..(lo + want.max(1)).min(self.prices.len())
     }
 
     /// First-passage time: the earliest time `>= start` at which the price

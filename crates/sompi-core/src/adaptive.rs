@@ -497,7 +497,7 @@ pub struct ViewFingerprint {
 }
 
 impl ViewFingerprint {
-    /// Digest a view. Cost: one failure-rate estimation per group (at a
+    /// Digest a view. Cost: one fused failure table per group (at a
     /// single probe bid), versus `bid_levels` of them per group for a
     /// full re-optimization. Walks the view's own estimators, so it never
     /// hits an unknown-group lookup.
@@ -513,7 +513,7 @@ impl ViewFingerprint {
                 // log₂ grid, where failure rates move fastest when the
                 // price distribution drifts.
                 let probe = max_bid * 0.5;
-                let f = est.failure_rate_exact(probe, FINGERPRINT_PROBE_HORIZON);
+                let table = est.failure_table(probe);
                 let prices = est.expected_spot_price();
                 (
                     id,
@@ -521,8 +521,8 @@ impl ViewFingerprint {
                         prices.min_price(),
                         prices.mean_below(f64::INFINITY).unwrap_or(0.0),
                         max_bid,
-                        est.expected_launch_delay(probe),
-                        f.survival(),
+                        table.launch_delay(),
+                        table.to_fn(FINGERPRINT_PROBE_HORIZON).survival(),
                     ],
                 )
             })

@@ -53,7 +53,7 @@ use crate::error::SompiError;
 use crate::model::{CircleGroup, GroupDecision, OnDemandOption, Plan};
 use crate::view::MarketView;
 use crate::{Hours, Usd};
-use ec2_market::failure::FailureEstimator;
+use ec2_market::failure::{ExpectedSpotPrice, FailureCounts};
 use serde::{Deserialize, Serialize};
 
 /// Tolerance for probability-mass conservation: `survival + Σ fail_buckets`
@@ -107,17 +107,30 @@ impl GroupAssessment {
         view: &MarketView,
     ) -> Result<Option<Self>, SompiError> {
         let est = view.try_estimator(group.id)?;
-        Ok(Self::assess_with(group, decision, est))
+        let table = est.failure_table(decision.bid);
+        Ok(Self::from_table(
+            group,
+            decision,
+            est.expected_spot_price(),
+            &table,
+        ))
     }
 
-    /// [`GroupAssessment::assess`] with the estimator already in hand.
-    pub fn assess_with(
+    /// Assess `group` under `decision` from the group's fused failure
+    /// table at `decision.bid` (`f_i(P, ·)` at the assessment horizon and
+    /// the launch delay) and its `S_i(P)` table — the one assessment path
+    /// every planner shares, so a table built once per `(group, bid)`
+    /// serves every checkpoint interval at that bid. `None` when the bid
+    /// admits no launch.
+    pub(crate) fn from_table(
         group: CircleGroup,
         decision: GroupDecision,
-        est: &FailureEstimator,
+        prices: &ExpectedSpotPrice,
+        table: &FailureCounts,
     ) -> Option<Self> {
-        let expected_price = est.expected_spot_price().mean_below(decision.bid)?;
-        let f = est.failure_rate_exact(decision.bid, assessment_horizon(&group, &decision));
+        debug_assert_eq!(table.bid().to_bits(), decision.bid.to_bits());
+        let expected_price = prices.mean_below(decision.bid)?;
+        let f = table.to_fn(assessment_horizon(&group, &decision));
         let survival = f.survival();
         Some(Self::from_parts(
             group,
@@ -125,7 +138,7 @@ impl GroupAssessment {
             expected_price,
             survival,
             f.into_buckets(),
-            est.expected_launch_delay(decision.bid),
+            table.launch_delay(),
         ))
     }
 
@@ -609,10 +622,8 @@ impl Evaluation {
 }
 
 /// The hourly horizon a group is assessed over: its full wall-clock
-/// completion time under the decision's checkpoint interval. Shared with
-/// the warm-start table cache so cached counts serve the exact horizon the
-/// cold path would have used.
-pub fn assessment_horizon(group: &CircleGroup, decision: &GroupDecision) -> usize {
+/// completion time under the decision's checkpoint interval.
+fn assessment_horizon(group: &CircleGroup, decision: &GroupDecision) -> usize {
     group
         .completion_wall_hours(decision.ckpt_interval)
         .ceil()

@@ -14,12 +14,11 @@
 //! so the lower one is dropped before any subset is enumerated.
 
 use crate::cost::{evaluate, Evaluation, GroupAssessment};
-use crate::logsearch::BidGrid;
 use crate::model::{GroupDecision, Plan};
 use crate::ondemand::select_on_demand;
-use crate::phi::optimal_interval_for;
+use crate::phi::interval_from_table;
 use crate::problem::Problem;
-use crate::twolevel::{GridKind, OptimizerConfig};
+use crate::twolevel::{bid_grid, OptimizerConfig};
 use crate::view::MarketView;
 use serde::{Deserialize, Serialize};
 
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// tie-breaks among survivors are unchanged too.
 ///
 /// Callers must pass options in bid-descending order (the order
-/// [`BidGrid`] produces), so a dominator always precedes its victims.
+/// [`BidGrid`](crate::logsearch::BidGrid) produces), so a dominator always precedes its victims.
 pub fn collapse_bid_dominated(opts: &mut Vec<GroupAssessment>) -> u64 {
     let mut kept = 0usize;
     for i in 0..opts.len() {
@@ -79,35 +78,24 @@ pub fn frontier(problem: &Problem, view: &MarketView, config: OptimizerConfig) -
     let mut options: Vec<Vec<GroupAssessment>> = Vec::new();
     for group in &problem.candidates {
         let mut opts = Vec::new();
-        if let Ok(est) = view.try_estimator(group.id) {
-            let max_bid = est.max_price();
-            if max_bid.is_finite() && max_bid > 0.0 {
-                let min_price = est.expected_spot_price().min_price().max(1e-6);
-                let span = ((max_bid / min_price).log2().ceil() as u32 + 1).max(2);
-                let levels = span.min(config.bid_levels.max(2));
-                let mut grid = match config.grid {
-                    GridKind::Logarithmic => BidGrid::logarithmic(max_bid, levels),
-                    GridKind::Uniform => BidGrid::uniform(max_bid, levels),
+        let assessable = view.try_estimator(group.id).ok();
+        if let Some((est, grid)) = assessable.and_then(|est| Some((est, bid_grid(&config, est)?))) {
+            for &bid in grid.bids() {
+                let table = est.failure_table(bid);
+                let decision = GroupDecision {
+                    bid,
+                    ckpt_interval: interval_from_table(group, &table),
                 };
-                if let Some(m) = config.top_margin {
-                    grid = grid.with_top_margin(m);
+                let prices = est.expected_spot_price();
+                if let Some(a) = GroupAssessment::from_table(*group, decision, prices, &table) {
+                    opts.push(a);
                 }
-                for &bid in grid.bids() {
-                    let interval = optimal_interval_for(group, bid, est);
-                    let decision = GroupDecision {
-                        bid,
-                        ckpt_interval: interval,
-                    };
-                    if let Some(a) = GroupAssessment::assess_with(*group, decision, est) {
-                        opts.push(a);
-                    }
-                }
-                // Exact and output-invariant here too: collapsed duplicates
-                // produce identical (E[Time], E[Cost]) points, and the kept
-                // (higher-bid) twin enumerates first anyway, so the stable
-                // non-dominated filter below returns the same frontier.
-                collapse_bid_dominated(&mut opts);
             }
+            // Exact and output-invariant here too: collapsed duplicates
+            // produce identical (E[Time], E[Cost]) points, and the kept
+            // (higher-bid) twin enumerates first anyway, so the stable
+            // non-dominated filter below returns the same frontier.
+            collapse_bid_dominated(&mut opts);
         }
         options.push(opts);
     }

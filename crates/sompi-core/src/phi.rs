@@ -18,7 +18,7 @@ use crate::error::SompiError;
 use crate::model::CircleGroup;
 use crate::view::MarketView;
 use crate::{Hours, Usd};
-use ec2_market::failure::FailureEstimator;
+use ec2_market::failure::FailureCounts;
 
 /// Compute `φ_i(P_i)`: the checkpoint interval for `group` at bid `bid`.
 ///
@@ -33,27 +33,22 @@ pub fn optimal_interval(
     bid: Usd,
     view: &MarketView,
 ) -> Result<Hours, SompiError> {
-    Ok(optimal_interval_for(
-        group,
-        bid,
-        view.try_estimator(group.id)?,
-    ))
+    let table = view.try_estimator(group.id)?.failure_table(bid);
+    Ok(interval_from_table(group, &table))
 }
 
-/// [`optimal_interval`] with the group's estimator already in hand —
-/// infallible, and the form the warm-started optimizer uses so a cached
-/// failure table can stand in for the estimator walk.
-pub fn optimal_interval_for(group: &CircleGroup, bid: Usd, est: &FailureEstimator) -> Hours {
-    // Estimate MTTF over the group's own wall-clock horizon (without
-    // checkpoints yet — a first-order self-consistent choice: O_i ≪ T_i).
-    let horizon = phi_horizon(group);
-    let f = est.failure_rate_exact(bid, horizon);
+/// `φ_i(P_i)` from the group's fused failure table at the bid — the form
+/// the optimizer uses, so one table per `(group, bid)` serves both the
+/// interval and every assessment at that bid. MTTF is estimated over the
+/// group's own wall-clock horizon without checkpoints (a first-order
+/// self-consistent choice: `O_i ≪ T_i`).
+pub(crate) fn interval_from_table(group: &CircleGroup, table: &FailureCounts) -> Hours {
+    let f = table.to_fn(phi_horizon(group));
     interval_from_mttf(group, f.mean_time_to_failure())
 }
 
 /// The hourly horizon `φ` estimates MTTF over: the group's own execution
-/// time. Shared with the warm-start table cache so cached counts serve the
-/// exact horizon the cold path would have used.
+/// time.
 pub fn phi_horizon(group: &CircleGroup) -> usize {
     group.exec_hours.ceil().max(1.0) as usize
 }
@@ -182,8 +177,8 @@ mod tests {
         let low_bid = view.mean_price(id).unwrap() * 0.8;
         let f_lo = optimal_interval(&g, low_bid, &view).unwrap();
         assert!(f_lo <= f_hi);
-        // The estimator-in-hand form is the same computation.
-        let est = view.try_estimator(id).unwrap();
-        assert_eq!(optimal_interval_for(&g, low_bid, est), f_lo);
+        // The table-in-hand form is the same computation.
+        let table = view.try_estimator(id).unwrap().failure_table(low_bid);
+        assert_eq!(interval_from_table(&g, &table), f_lo);
     }
 }

@@ -33,7 +33,7 @@ use crate::error::SompiError;
 use crate::logsearch::BidGrid;
 use crate::model::{CircleGroup, GroupDecision, Plan};
 use crate::ondemand::{select_on_demand, DEFAULT_SLACK};
-use crate::phi::{optimal_interval_for, phi_horizon};
+use crate::phi::{interval_from_table, optimal_interval, phi_horizon};
 use crate::problem::Problem;
 use crate::twolevel::{OptimizerConfig, TwoLevelOptimizer};
 use crate::view::MarketView;
@@ -326,10 +326,9 @@ impl Policy for CheckpointOnly {
             let Some(bid) = on_demand_price_of(problem, c) else {
                 return Ok(None);
             };
-            let est = view.try_estimator(c.id)?;
             Ok(Some(GroupDecision {
                 bid,
-                ckpt_interval: optimal_interval_for(c, bid, est),
+                ckpt_interval: optimal_interval(c, bid, view)?,
             }))
         })
     }
@@ -378,14 +377,17 @@ impl Policy for AppCentric {
             let grid = BidGrid::logarithmic(max_bid, self.bid_levels);
             let horizon = phi_horizon(c);
             // Grid bids are highest-first; scan from the lowest up and
-            // take the first meeting the availability target.
-            let bid =
-                grid.bids().iter().rev().copied().find(|&bid| {
-                    est.failure_rate_exact(bid, horizon).survival() >= self.availability
-                });
-            Ok(bid.map(|bid| GroupDecision {
-                bid,
-                ckpt_interval: optimal_interval_for(c, bid, est),
+            // take the first meeting the availability target. Its table
+            // also gives the checkpoint interval.
+            let table = grid
+                .bids()
+                .iter()
+                .rev()
+                .map(|&bid| est.failure_table(bid))
+                .find(|t| t.to_fn(horizon).survival() >= self.availability);
+            Ok(table.map(|t| GroupDecision {
+                bid: t.bid(),
+                ckpt_interval: interval_from_table(c, &t),
             }))
         })
     }
@@ -537,8 +539,7 @@ mod tests {
         let (g, d) = &plan.groups[0];
         let od = on_demand_price_of(&p, g).unwrap();
         assert!((d.bid - od).abs() < 1e-12);
-        let est = v.try_estimator(g.id).unwrap();
-        assert_eq!(d.ckpt_interval, optimal_interval_for(g, d.bid, est));
+        assert_eq!(d.ckpt_interval, optimal_interval(g, d.bid, &v).unwrap());
         // Default hooks: a killed window demands a re-plan.
         let r = CheckpointOnly.on_window(&WindowObservation {
             window: 0,

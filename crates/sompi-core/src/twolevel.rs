@@ -49,22 +49,22 @@
 //! search (see `crate::warmstart`).
 
 use crate::adaptive::PlanContext;
-use crate::cost::{
-    assessment_horizon, evaluate, evaluate_with_scratch, EvalScratch, Evaluation, GroupAssessment,
-};
+use crate::cost::{evaluate, evaluate_with_scratch, EvalScratch, Evaluation, GroupAssessment};
 use crate::error::SompiError;
 use crate::logsearch::BidGrid;
 use crate::model::{GroupDecision, OnDemandOption, Plan};
 use crate::ondemand::{select_on_demand, DEFAULT_SLACK};
 use crate::parallel::resolve_threads;
-use crate::phi::{interval_from_mttf, optimal_interval_for, phi_horizon};
+use crate::phi::interval_from_table;
 use crate::problem::Problem;
 use crate::view::MarketView;
-use crate::warmstart::{BidTable, GroupTables, WarmStart};
+use crate::warmstart::{GroupTables, WarmStart};
+use ec2_market::failure::FailureEstimator;
 use ec2_market::market::CircleGroupId;
 use serde::{Deserialize, Serialize};
 use sompi_obs::{emit, Event, PhaseTimer, TraceLevel};
 use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
@@ -350,14 +350,14 @@ struct WorkerStats {
 /// `assess_options` output: the per-group option lists, the enumeration
 /// counters, and — when a warm start with table reuse was attached — the
 /// per-group bucket-table cache accounting.
-struct AssessedOptions {
-    options: Vec<Vec<GroupAssessment>>,
-    considered: u64,
-    pruned: u64,
-    dominated: u64,
+pub(crate) struct AssessedOptions {
+    pub(crate) options: Vec<Vec<GroupAssessment>>,
+    pub(crate) considered: u64,
+    pub(crate) pruned: u64,
+    pub(crate) dominated: u64,
     /// Per-group `(id, digest, entries reused, entries rebuilt)`; empty
-    /// on cold assessments (no allocation on the cold path).
-    table_stats: Vec<(CircleGroupId, u64, u64, u64)>,
+    /// when no tables are kept past the search.
+    pub(crate) table_stats: Vec<(CircleGroupId, u64, u64, u64)>,
 }
 
 /// Lexicographic comparison of a candidate's bid vector (iterator form,
@@ -736,14 +736,15 @@ impl<'a> TwoLevelOptimizer<'a> {
     /// and how many survivors the exact bid-collapse dominance filter
     /// ([`crate::pareto::collapse_bid_dominated`]) removed afterwards.
     ///
-    /// With a [`WarmStart`] carrying table reuse, the per-`(group, bid)`
-    /// integer failure counts behind `φ(P)` and each assessment come from
-    /// the warm cache when the group's history digest is unchanged. A
-    /// count table recorded at horizon `H` truncates to any `h ≤ H`
-    /// bit-identically (asserted by `ec2_market`'s truncation tests), so
-    /// the produced assessments are exactly the cold path's. Errors when
-    /// a candidate group is unknown to the view.
-    fn assess_options(
+    /// Each `(group, bid)` is assessed from one fused failure table
+    /// ([`FailureEstimator::failure_table`]), which serves `φ(P)`, every
+    /// checkpoint interval's assessment horizon and the launch delay
+    /// exactly. With a [`WarmStart`] carrying table reuse the tables
+    /// outlive the search, keyed by the group's history digest; without
+    /// one they are built per search. Either way the assessments are
+    /// bit-identical. Errors when a candidate group is unknown to the
+    /// view.
+    pub(crate) fn assess_options(
         &self,
         mut warm: Option<&mut WarmStart>,
     ) -> Result<AssessedOptions, SompiError> {
@@ -755,25 +756,14 @@ impl<'a> TwoLevelOptimizer<'a> {
             Vec::with_capacity(self.problem.candidates.len());
         for group in &self.problem.candidates {
             let est = self.view.try_estimator(group.id)?;
-            let max_bid = est.max_price();
-            if !(max_bid.is_finite() && max_bid > 0.0) {
+            let Some(grid) = bid_grid(&self.config, est) else {
                 options.push(Vec::new());
                 continue;
-            }
-            let min_price = est.expected_spot_price().min_price().max(1e-6);
-            let span_levels = ((max_bid / min_price).log2().ceil() as u32 + 1).max(2);
-            let levels = span_levels.min(self.config.bid_levels.max(2));
-            let mut grid = match self.config.grid {
-                GridKind::Logarithmic => BidGrid::logarithmic(max_bid, levels),
-                GridKind::Uniform => BidGrid::uniform(max_bid, levels),
             };
-            if let Some(m) = self.config.top_margin {
-                grid = grid.with_top_margin(m);
-            }
-            // Bucket-table cache handle for this group, with per-group
-            // reuse accounting. A drifted digest drops every cached bid
-            // entry for the group — per-entry invalidation, nothing else.
-            let mut cache = match warm.as_deref_mut() {
+            // Kept tables for this group, when reuse is on. A drifted
+            // digest drops every cached bid entry for the group —
+            // per-entry invalidation, nothing else.
+            let mut kept = match warm.as_deref_mut() {
                 Some(w) if w.use_tables => {
                     let digest = est.digest();
                     let tables = w
@@ -784,104 +774,57 @@ impl<'a> TwoLevelOptimizer<'a> {
                         tables.digest = digest;
                         tables.by_bid.clear();
                     }
-                    Some((tables, 0u64, 0u64))
+                    Some(tables)
                 }
                 _ => None,
             };
+            let (mut reused, mut rebuilt) = (0u64, 0u64);
             let mut opts = Vec::new();
             for &bid in grid.bids() {
-                match cache.as_mut() {
+                let built;
+                let table = match kept.as_deref_mut() {
+                    Some(tables) => match tables.by_bid.entry(bid.to_bits()) {
+                        Entry::Occupied(e) => {
+                            reused += 1;
+                            &*e.into_mut()
+                        }
+                        Entry::Vacant(e) => {
+                            rebuilt += 1;
+                            &*e.insert(est.failure_table(bid))
+                        }
+                    },
                     None => {
-                        // Cold path: straight off the estimator — the
-                        // pre-warm-start algorithm, kept verbatim.
-                        let intervals: Vec<f64> = match self.config.interval_grid {
-                            None => vec![optimal_interval_for(group, bid, est)],
-                            Some(n) => (1..=n)
-                                .map(|j| group.exec_hours * j as f64 / n as f64)
-                                .collect(),
-                        };
-                        for interval in intervals {
-                            let decision = GroupDecision {
-                                bid,
-                                ckpt_interval: interval,
-                            };
-                            considered += 1;
-                            if let Some(a) = GroupAssessment::assess_with(*group, decision, est) {
-                                if a.completion_wall() <= self.problem.deadline {
-                                    opts.push(a);
-                                } else {
-                                    pruned += 1;
-                                }
-                            }
-                        }
+                        built = est.failure_table(bid);
+                        &built
                     }
-                    Some((tables, reused, rebuilt)) => {
-                        // Warm path: φ and the assessment are served from
-                        // the cached counts, recomputed only when no entry
-                        // exists or a larger horizon is needed.
-                        let mut fresh = false;
-                        let h_phi = phi_horizon(group);
-                        let entry = tables.by_bid.entry(bid.to_bits()).or_insert_with(|| {
-                            fresh = true;
-                            BidTable {
-                                counts: est.failure_counts(bid, h_phi),
-                                launch_delay: est.expected_launch_delay(bid),
-                            }
-                        });
-                        if entry.counts.horizon() < h_phi {
-                            entry.counts = est.failure_counts(bid, h_phi);
-                            fresh = true;
-                        }
-                        let intervals: Vec<f64> = match self.config.interval_grid {
-                            None => vec![interval_from_mttf(
-                                group,
-                                entry.counts.to_fn(h_phi).mean_time_to_failure(),
-                            )],
-                            Some(n) => (1..=n)
-                                .map(|j| group.exec_hours * j as f64 / n as f64)
-                                .collect(),
-                        };
-                        for interval in intervals {
-                            let decision = GroupDecision {
-                                bid,
-                                ckpt_interval: interval,
-                            };
-                            considered += 1;
-                            let h = assessment_horizon(group, &decision);
-                            if entry.counts.horizon() < h {
-                                entry.counts = est.failure_counts(bid, h);
-                                fresh = true;
-                            }
-                            if let Some(price) = est.expected_spot_price().mean_below(bid) {
-                                // `to_fn` hands over an owned function, so
-                                // its bucket vector moves straight into
-                                // the assessment — no per-option clone.
-                                let f = entry.counts.to_fn(h);
-                                let survival = f.survival();
-                                let a = GroupAssessment::from_parts(
-                                    *group,
-                                    decision,
-                                    price,
-                                    survival,
-                                    f.into_buckets(),
-                                    entry.launch_delay,
-                                );
-                                if a.completion_wall() <= self.problem.deadline {
-                                    opts.push(a);
-                                } else {
-                                    pruned += 1;
-                                }
-                            }
-                        }
-                        if fresh {
-                            *rebuilt += 1;
+                };
+                let intervals: Vec<f64> = match self.config.interval_grid {
+                    None => vec![interval_from_table(group, table)],
+                    Some(n) => (1..=n)
+                        .map(|j| group.exec_hours * j as f64 / n as f64)
+                        .collect(),
+                };
+                for interval in intervals {
+                    let decision = GroupDecision {
+                        bid,
+                        ckpt_interval: interval,
+                    };
+                    considered += 1;
+                    if let Some(a) = GroupAssessment::from_table(
+                        *group,
+                        decision,
+                        est.expected_spot_price(),
+                        table,
+                    ) {
+                        if a.completion_wall() <= self.problem.deadline {
+                            opts.push(a);
                         } else {
-                            *reused += 1;
+                            pruned += 1;
                         }
                     }
                 }
             }
-            if let Some((tables, reused, rebuilt)) = cache {
+            if let Some(tables) = kept {
                 table_stats.push((group.id, tables.digest, reused, rebuilt));
             }
             if self.config.prune_dominance {
@@ -1216,6 +1159,28 @@ impl<'a> TwoLevelOptimizer<'a> {
     }
 }
 
+/// The bid grid `config` searches for a group with history `est`: at most
+/// `bid_levels` points, and no more than the log₂ span between the lowest
+/// and highest observed price warrants. `None` when the group cannot
+/// launch at any bid (non-finite or non-positive maximum price).
+pub(crate) fn bid_grid(config: &OptimizerConfig, est: &FailureEstimator) -> Option<BidGrid> {
+    let max_bid = est.max_price();
+    if !(max_bid.is_finite() && max_bid > 0.0) {
+        return None;
+    }
+    let min_price = est.expected_spot_price().min_price().max(1e-6);
+    let span_levels = ((max_bid / min_price).log2().ceil() as u32 + 1).max(2);
+    let levels = span_levels.min(config.bid_levels.max(2));
+    let grid = match config.grid {
+        GridKind::Logarithmic => BidGrid::logarithmic(max_bid, levels),
+        GridKind::Uniform => BidGrid::uniform(max_bid, levels),
+    };
+    Some(match config.top_margin {
+        Some(m) => grid.with_top_margin(m),
+        None => grid,
+    })
+}
+
 /// Visit every `k`-subset of `0..n` (lexicographic), calling `f` with each.
 /// Visits nothing when `k > n` (instead of underflowing the loop bound).
 fn enumerate_subsets(
@@ -1241,7 +1206,7 @@ fn enumerate_subsets(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ec2_market::instance::{InstanceCatalog, InstanceTypeId};
     use ec2_market::market::SpotMarket;
@@ -1249,7 +1214,7 @@ mod tests {
     use mpi_sim::npb::{NpbClass, NpbKernel};
     use mpi_sim::storage::S3Store;
 
-    pub(super) fn setup() -> (SpotMarket, Problem, MarketView) {
+    pub(crate) fn setup() -> (SpotMarket, Problem, MarketView) {
         let cat = InstanceCatalog::paper_2014();
         let prof = MarketProfile::paper_2014(&cat);
         let market = SpotMarket::generate(cat, &TraceGenerator::new(prof, 13), 200.0, 1.0 / 12.0);

@@ -9,7 +9,7 @@
 
 use crate::error::SompiError;
 use crate::{Hours, Usd};
-use ec2_market::failure::{FailureEstimator, FailureRateFn};
+use ec2_market::failure::FailureEstimator;
 use ec2_market::market::{CircleGroupId, SpotMarket};
 use std::collections::BTreeMap;
 
@@ -67,18 +67,6 @@ impl MarketView {
         Ok(self.try_estimator(id)?.expected_spot_price().min_price())
     }
 
-    /// Failure-rate function `f_i(P, t)` over an hourly horizon.
-    pub fn failure_fn(
-        &self,
-        id: CircleGroupId,
-        bid: Usd,
-        horizon_hours: usize,
-    ) -> Result<FailureRateFn, SompiError> {
-        Ok(self
-            .try_estimator(id)?
-            .failure_rate_exact(bid, horizon_hours))
-    }
-
     /// Expected spot price `S_i(P)`: mean of historical prices at or below
     /// the bid. `Ok(None)` when the bid admits no launch.
     pub fn expected_price(&self, id: CircleGroupId, bid: Usd) -> Result<Option<Usd>, SompiError> {
@@ -91,12 +79,6 @@ impl MarketView {
     /// Mean historical price of a group (the Spot-Avg baseline's bid).
     pub fn mean_price(&self, id: CircleGroupId) -> Result<Usd, SompiError> {
         Ok(self.expected_price(id, f64::INFINITY)?.unwrap_or(0.0))
-    }
-
-    /// Expected wait between requesting instances and the spot price first
-    /// admitting the bid ("otherwise it waits").
-    pub fn launch_delay(&self, id: CircleGroupId, bid: Usd) -> Result<Hours, SompiError> {
-        Ok(self.try_estimator(id)?.expected_launch_delay(bid))
     }
 }
 
@@ -165,7 +147,6 @@ mod tests {
         assert!(matches!(err, SompiError::UnknownGroup { .. }));
         assert!(err.to_string().contains("no market trace"));
         assert!(v.max_bid(bogus).is_err());
-        assert!(v.failure_fn(bogus, 0.1, 4).is_err());
-        assert!(v.launch_delay(bogus, 0.1).is_err());
+        assert!(v.expected_price(bogus, 0.1).is_err());
     }
 }

@@ -4,21 +4,21 @@
 //! every window over a problem that usually changed only slightly: the
 //! remaining work shrank, and the market view slid forward by one window.
 //! A [`WarmStart`] carries one thing from one search to the next, the
-//! integer failure-count tables behind `φ(P)` and each
+//! fused failure tables behind `φ(P)` and each
 //! [`GroupAssessment`](crate::cost::GroupAssessment). They are cached per
 //! `(group, bid)` and keyed by a digest of the group's empirical price
-//! history. A table recorded at horizon `H` truncates to any `h ≤ H`
-//! bit-identically (asserted by `ec2_market`'s truncation tests), so
-//! unchanged view entries skip the `O(n·H)` counting walk entirely; a
-//! drifted digest invalidates that group's entries and nothing else. The
-//! selected plan stays bit-identical to a cold search at every thread
-//! count.
+//! history. One table serves every horizon bit-identically (asserted by
+//! `ec2_market`'s differential tests), so unchanged view entries skip the
+//! counting walk entirely; a drifted digest invalidates that group's
+//! entries and nothing else. A search without a `WarmStart` builds the
+//! same tables and drops them when it returns, so the selected plan is
+//! bit-identical either way, at every thread count.
 //!
-//! The CLI's `--no-bucket-reuse` ablation flag switches the reuse off;
-//! `tests/warmstart_differential.rs` pins warm and cold plans
-//! bit-identical across thread counts over a long adaptive study.
+//! The CLI's `--no-bucket-reuse` ablation flag keeps tables from
+//! outliving a search; `tests/warmstart_differential.rs` pins warm and
+//! cold plans bit-identical across thread counts over a long adaptive
+//! study.
 
-use crate::Hours;
 use ec2_market::failure::FailureCounts;
 use ec2_market::market::CircleGroupId;
 use std::collections::BTreeMap;
@@ -29,9 +29,9 @@ use std::collections::BTreeMap;
 pub(crate) struct GroupTables {
     /// FNV-1a digest of the price history the tables were counted from.
     pub(crate) digest: u64,
-    /// Per-bid entries, keyed by the bid's IEEE-754 bits (bids come off a
+    /// Per-bid tables, keyed by the bid's IEEE-754 bits (bids come off a
     /// deterministic grid, so bit equality is the right identity).
-    pub(crate) by_bid: BTreeMap<u64, BidTable>,
+    pub(crate) by_bid: BTreeMap<u64, FailureCounts>,
 }
 
 impl GroupTables {
@@ -41,14 +41,6 @@ impl GroupTables {
             by_bid: BTreeMap::new(),
         }
     }
-}
-
-/// One cached `(group, bid)` entry: the raw integer failure counts (at
-/// the largest horizon requested so far) and the expected launch delay.
-#[derive(Debug, Clone)]
-pub(crate) struct BidTable {
-    pub(crate) counts: FailureCounts,
-    pub(crate) launch_delay: Hours,
 }
 
 /// Mutable warm-start state threaded through consecutive
@@ -106,6 +98,8 @@ impl Default for WarmStart {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::twolevel::tests::setup;
+    use crate::twolevel::{AssessedOptions, OptimizerConfig, TwoLevelOptimizer};
 
     #[test]
     fn defaults_enable_every_layer() {
@@ -135,5 +129,59 @@ mod tests {
         w.clear();
         assert_eq!(w.cached_groups(), 0);
         assert!(w.table_reuse());
+    }
+
+    #[test]
+    fn assess_options_agree_with_and_without_a_warm_start() {
+        // No `WarmStart`, a fresh one, one with reuse off, and one kept
+        // across every case must assess alike. The kept state serves
+        // shorter and longer problems from the same tables, so their
+        // horizons are read both truncated and zero-padded.
+        let (_, problem, view) = setup();
+        let base = OptimizerConfig {
+            kappa: 2,
+            bid_levels: 6,
+            ..OptimizerConfig::default()
+        };
+        let configs = [
+            base,
+            OptimizerConfig {
+                interval_grid: Some(3),
+                ..base
+            },
+            OptimizerConfig {
+                prune_dominance: false,
+                top_margin: None,
+                ..base
+            },
+        ];
+        let mut kept = WarmStart::new();
+        for (scale, deadline) in [(0.25, 3.0), (1.0, 3.0), (4.0, 12.0), (1.0, 1.2)] {
+            let mut p = problem.clone();
+            p.deadline = deadline;
+            p.candidates.iter_mut().for_each(|g| g.exec_hours *= scale);
+            for cfg in configs {
+                let opt = TwoLevelOptimizer::new(&p, &view, cfg);
+                let cold = opt.assess_options(None).unwrap();
+                let fresh = opt.assess_options(Some(&mut WarmStart::new())).unwrap();
+                assert!(fresh.table_stats.iter().all(|s| s.2 == 0 && s.3 > 0));
+                let mut off_state = WarmStart::new().with_table_reuse(false);
+                let off = opt.assess_options(Some(&mut off_state)).unwrap();
+                let reused = opt.assess_options(Some(&mut kept)).unwrap();
+                let again = opt.assess_options(Some(&mut kept)).unwrap();
+                assert!(again.table_stats.iter().all(|s| s.3 == 0));
+                for other in [&fresh, &off, &reused, &again] {
+                    let counters = |a: &AssessedOptions| (a.considered, a.pruned, a.dominated);
+                    assert_eq!(counters(other), counters(&cold));
+                    let flat = |a: &AssessedOptions| a.options.concat();
+                    let (a, b) = (flat(&cold), flat(other));
+                    assert_eq!(a.len(), b.len());
+                    for (a, b) in a.iter().zip(&b) {
+                        assert!(a.eval_equivalent(b));
+                        assert_eq!(a.decision.bid.to_bits(), b.decision.bid.to_bits());
+                    }
+                }
+            }
+        }
     }
 }

@@ -200,8 +200,9 @@ pub enum Event {
         /// Per-`(group, bid)` failure-table entries served entirely from
         /// the warm cache this window.
         tables_reused: u64,
-        /// Entries computed fresh (new bid, horizon growth, or a history
-        /// digest invalidation).
+        /// Entries computed fresh: one counting pass per new `(group,
+        /// bid)`, never seen or dropped by a history digest invalidation.
+        /// A longer horizon never rebuilds an entry.
         tables_rebuilt: u64,
     },
     /// Per-group bucket-table cache accounting for one warm-started
@@ -215,7 +216,7 @@ pub enum Event {
         digest: u64,
         /// Bid entries reused without recomputation.
         reused: u64,
-        /// Bid entries (re)computed this window.
+        /// Bid entries computed this window (new `(group, bid)` passes).
         rebuilt: u64,
     },
     /// The adaptive loop (Algorithm 1) crossed a window boundary.

@@ -1,11 +1,11 @@
 //! Cross-tenant plan cache with single-flight coalescing.
 //!
 //! [`SharedPlanCache`] memoizes completed plan searches under the key
-//! from [`crate::service::plan_request_key`] (request shape × market-view
-//! fingerprint). It is safe to share across worker threads, and it
+//! from [`crate::service::plan_request_key`] (request shape × the view's
+//! sample ranges). It is safe to share across worker threads, and it
 //! *coalesces* concurrent identical requests: the first caller for a
 //! key computes while later arrivals block on a condition variable and
-//! receive the same `Arc`'d result. A burst of identical-fingerprint
+//! receive the same `Arc`'d result. A burst of identical-key
 //! requests therefore performs **exactly one** search — the property
 //! the server's cache-hit trace events exist to prove.
 //!

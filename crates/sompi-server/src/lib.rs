@@ -9,7 +9,7 @@
 //!
 //! - a typed, length-prefixed JSON wire protocol ([`proto`]);
 //! - a cross-tenant, single-flight plan cache keyed by request shape ×
-//!   market-view fingerprint ([`cache`]) — a burst of identical
+//!   the view's sample ranges ([`cache`]) — a burst of identical
 //!   requests performs exactly one search;
 //! - bounded admission with load shedding and a batched worker pool
 //!   ([`server`]) — overload yields typed `Overloaded` responses, not

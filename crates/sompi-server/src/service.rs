@@ -20,7 +20,7 @@ use replay::exec::{ExecContext, ExecMode};
 use replay::montecarlo::MonteCarlo;
 use replay::stats::Summary;
 use serde::{Deserialize, Serialize};
-use sompi_core::adaptive::{AdaptiveConfig, PlanContext, ViewFingerprint};
+use sompi_core::adaptive::{AdaptiveConfig, PlanContext};
 use sompi_core::cost::evaluate_plan;
 use sompi_core::model::Plan;
 use sompi_core::policy::{policy_by_name, Policy};
@@ -183,27 +183,38 @@ pub fn view_for(market: &SpotMarket, req: &PlanRequest) -> MarketView {
 }
 
 /// Cross-tenant plan-cache key: an FNV-1a digest of the request's
-/// planning-relevant fields combined with the market-view fingerprint
-/// (see `ViewFingerprint` in sompi-core). Two requests share a key iff
-/// they would run the *same search over the same view* — the `tenant`
-/// label is cleared before hashing, so identical problems from
-/// different tenants coalesce onto one optimization.
+/// planning-relevant fields and of its view's coordinates on `market`.
+/// Two requests share a key iff they would run the *same search over
+/// the same view* — the `tenant` label is cleared before hashing, so
+/// identical problems from different tenants coalesce onto one
+/// optimization. A valid request's view is fixed by the sample range its
+/// window covers in each trace of the one market a server holds, so those
+/// ranges stand in for the view's hours: windows that differ by less than
+/// a sample share a key, and no view is built to compute it.
 pub fn plan_request_key(market: &SpotMarket, req: &PlanRequest) -> u64 {
-    let fp = ViewFingerprint::digest(&view_for(market, req)).digest_u64();
-    let mut canon = req.clone();
-    canon.tenant = String::new();
-    let body = serde_json::to_string(&canon).expect("request is serializable");
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
-    for b in body.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut eat = |bytes: &[u8]| {
+        for b in bytes {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+    };
+    let mut canon = req.clone();
+    canon.tenant = String::new();
+    if validate_plan_request(req).is_ok() {
+        canon.view_start_hours = 0.0;
+        canon.history_hours = 0.0;
+        for trace in market.groups().filter_map(|id| market.trace(id)) {
+            let range = trace.window_range(req.view_start_hours, req.history_hours);
+            eat(&(range.start as u64).to_le_bytes());
+            eat(&(range.end as u64).to_le_bytes());
+        }
     }
-    for b in fp.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
+    eat(serde_json::to_string(&canon)
+        .expect("request is serializable")
+        .as_bytes());
     h
 }
 
@@ -649,6 +660,42 @@ mod tests {
         let mut d = a.clone();
         d.history_hours = 24.0; // different market view → different key
         assert_ne!(plan_request_key(&market, &a), plan_request_key(&market, &d));
+    }
+
+    #[test]
+    fn plan_request_key_is_equal_for_equal_view_coordinates() {
+        // 5-minute samples: a view starting 0.01 h in, or 0.01 h longer,
+        // covers the same samples as the request's own view, and plans
+        // the same.
+        let market = market(100.0);
+        let a = small_request();
+        for (start, history) in [(0.01, a.history_hours), (0.0, a.history_hours - 0.01)] {
+            let b = PlanRequest {
+                view_start_hours: start,
+                history_hours: history,
+                ..a.clone()
+            };
+            assert_eq!(plan_request_key(&market, &a), plan_request_key(&market, &b));
+            assert_eq!(
+                plan(&market, &a, &NullRecorder, None).unwrap(),
+                plan(&market, &b, &NullRecorder, None).unwrap()
+            );
+        }
+        // One sample further along is a different view.
+        let c = PlanRequest {
+            view_start_hours: 1.0 / 12.0,
+            ..a.clone()
+        };
+        assert_ne!(plan_request_key(&market, &a), plan_request_key(&market, &c));
+        // An invalid request never shares a valid one's key.
+        let bad = PlanRequest {
+            history_hours: f64::NAN,
+            ..a.clone()
+        };
+        assert_ne!(
+            plan_request_key(&market, &a),
+            plan_request_key(&market, &bad)
+        );
     }
 
     #[test]

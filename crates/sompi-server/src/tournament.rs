@@ -278,6 +278,8 @@ pub fn run_tournament(
     }
     finite_positive("market hours", cfg.market_hours)?;
     finite_positive("market step hours", cfg.market_step_hours)?;
+    ec2_market::trace::check_sample_budget(cfg.market_hours, cfg.market_step_hours)
+        .map_err(|e| ServiceError::InvalidArgument(e.to_string()))?;
     validate_plan_request(&cfg.plan)?;
     // Resolve the whole roster up front so an unknown name fails before
     // any search runs.
@@ -652,6 +654,21 @@ mod tests {
                 assert!(err.to_string().contains(field), "{field} {bad}: {err}");
             }
         }
+    }
+
+    #[test]
+    fn oversized_market_is_invalid_argument_naming_the_limit() {
+        let mut cfg = small_config();
+        cfg.market_hours = 1.0;
+        cfg.market_step_hours = 1e-9;
+        let Err(err) = run_tournament(&cfg, &NullRecorder, None) else {
+            panic!("a 10^9-sample market must fail the tournament");
+        };
+        assert_eq!(err.kind(), crate::proto::errkind::INVALID_ARGUMENT);
+        assert!(
+            err.to_string().contains("trace sample limit of 1000000"),
+            "{err}"
+        );
     }
 
     #[test]

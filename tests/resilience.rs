@@ -102,49 +102,88 @@ fn scrub_timings(mut events: Vec<Event>) -> Vec<Event> {
     events
 }
 
-/// Same seed + same config ⇒ bit-identical event timeline and final
-/// cost, regardless of planner thread count. Search-internal events
-/// (`PlanSearchStarted`/`SubsetEvaluated`) legitimately differ with the
-/// worker count, so the comparison filters them; everything else —
-/// including every injected fault — must match exactly.
-#[test]
-fn fault_timeline_is_deterministic_across_thread_counts() {
+/// Zero the pruning-effort counters `PlanSelected.evals_skipped` and
+/// `bound_tightenings`. With two or more search workers sharing the
+/// incumbent bound they depend on scheduling (DESIGN.md §8.3, §10), so
+/// only the cross-thread comparison scrubs them; at one thread they are
+/// pinned exactly.
+fn scrub_pruning_effort(mut events: Vec<Event>) -> Vec<Event> {
+    for e in &mut events {
+        if let Event::PlanSelected {
+            evals_skipped,
+            bound_tightenings,
+            ..
+        } = e
+        {
+            *evals_skipped = 0;
+            *bound_tightenings = 0;
+        }
+    }
+    events
+}
+
+/// One faulted adaptive run at `threads` search workers: its outcome
+/// and its timing-scrubbed event timeline, minus the search-internal
+/// events (`PlanSearchStarted`/`SubsetEvaluated`), which legitimately
+/// differ with the worker count.
+fn faulted_adaptive_run(threads: usize) -> (replay::adaptive_exec::AdaptiveOutcome, Vec<Event>) {
     let (market, problem) = seeded_market();
     let inj = injector(&market, "storm=0.05x0.8,ckpt-fail=0.3,feed-gap=0.5", 17);
-    let mut outs = Vec::new();
-    for threads in [1usize, 0] {
-        let config = AdaptiveConfig {
-            window_hours: 0.5,
-            history_hours: 48.0,
-            optimizer: OptimizerConfig {
-                kappa: 2,
-                bid_levels: 3,
-                threads,
-                ..Default::default()
-            },
+    let config = AdaptiveConfig {
+        window_hours: 0.5,
+        history_hours: 48.0,
+        optimizer: OptimizerConfig {
+            kappa: 2,
+            bid_levels: 3,
+            threads,
             ..Default::default()
-        };
-        let ring = RingRecorder::new(TraceLevel::Detail, 4096);
-        let ctx = ExecContext::new()
-            .with_recorder(&ring)
-            .with_faults(&inj)
-            .with_retry(RetryPolicy::default_io());
-        let out = AdaptiveRunner::new(&market, config)
-            .run(&problem, 60.0, &ctx)
-            .expect("adaptive run succeeds");
-        let timeline: Vec<Event> = scrub_timings(
-            ring.take()
-                .into_iter()
-                .filter(|e| !matches!(e.kind(), "PlanSearchStarted" | "SubsetEvaluated"))
-                .collect(),
-        );
-        outs.push((out, timeline));
-    }
-    let (a, ta) = &outs[0];
-    let (b, tb) = &outs[1];
-    assert_eq!(ta, tb, "timelines diverge between threads=1 and auto");
+        },
+        ..Default::default()
+    };
+    let ring = RingRecorder::new(TraceLevel::Detail, 4096);
+    let ctx = ExecContext::new()
+        .with_recorder(&ring)
+        .with_faults(&inj)
+        .with_retry(RetryPolicy::default_io());
+    let out = AdaptiveRunner::new(&market, config)
+        .run(&problem, 60.0, &ctx)
+        .expect("adaptive run succeeds");
+    let timeline = scrub_timings(
+        ring.take()
+            .into_iter()
+            .filter(|e| !matches!(e.kind(), "PlanSearchStarted" | "SubsetEvaluated"))
+            .collect(),
+    );
+    (out, timeline)
+}
+
+/// Same seed + same config ⇒ bit-identical event timeline and final
+/// cost, regardless of planner thread count. Everything but the
+/// scheduling-dependent pruning counters — including every injected
+/// fault, every plan and every cost — must match exactly.
+#[test]
+fn fault_timeline_is_deterministic_across_thread_counts() {
+    let (a, ta) = faulted_adaptive_run(1);
+    let (b, tb) = faulted_adaptive_run(0);
+    assert_eq!(
+        scrub_pruning_effort(ta),
+        scrub_pruning_effort(tb),
+        "timelines diverge between threads=1 and auto"
+    );
     assert_eq!(a.run.total_cost, b.run.total_cost);
     assert_eq!(a.run.wall_hours, b.run.wall_hours);
+    assert_eq!(a.windows, b.windows);
+}
+
+/// At one search thread the pruning counters are deterministic too:
+/// repeat runs match exactly with only wall-clock fields scrubbed.
+#[test]
+fn fault_timeline_repeats_exactly_at_one_thread() {
+    let (a, ta) = faulted_adaptive_run(1);
+    let (b, tb) = faulted_adaptive_run(1);
+    assert!(ta.iter().any(|e| e.kind() == "PlanSelected"));
+    assert_eq!(ta, tb, "threads=1 timelines diverge between repeat runs");
+    assert_eq!(a.run.total_cost, b.run.total_cost);
     assert_eq!(a.windows, b.windows);
 }
 
